@@ -34,6 +34,7 @@ try:
 except ImportError:  # running as a script without PYTHONPATH/pip install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.api import EngineConfig
 from repro.core.instance import DiversificationInstance
 from repro.core.objectives import Objective
 from repro.engine import (
@@ -119,7 +120,9 @@ def time_engine(instances, algorithm, repeat, use_numpy):
     backend = "?"
     for _ in range(repeat):
         engine = DiversificationEngine(
-            algorithm=algorithm, cache_size=4, use_numpy=use_numpy
+            algorithm=algorithm,
+            use_numpy=use_numpy,
+            config=EngineConfig(cache_size=4),
         )
         start = time.perf_counter()
         results = engine.run_batch(instances)

@@ -12,16 +12,18 @@ websearch workload:
 * ``tiled-f64``   — lazy tile grid, float64 at rest (bit-identical);
 * ``tiled-f32``   — tiles narrowed to float32 at rest (≈half the matrix
   bytes; reductions stay float64);
-* ``tiled-parallel`` — tiled-f64 with a thread pool building independent
-  tiles concurrently (NumPy releases the GIL inside the jaccard matmuls);
-* ``tiled-procpool`` — tiled-f64 built through a **process pool**
-  (``workers="auto"``, ``parallel="process"``): tiles score in worker
-  processes and return via shared memory — the true-multicore path
+* ``tiled-parallel`` — tiled-f64 built with ``workers=4``, fanned out
+  the way the backend picks: a thread pool on NumPy (which releases the
+  GIL inside the jaccard matmuls), a warm process pool on pure Python;
+* ``tiled-procpool`` (pure Python only) — tiled-f64 built with
+  ``workers="auto"`` through a **process pool**: tiles score in worker
+  processes and return as pickled float lists — the true-multicore path
   (the warm-pool registry is cleared before every measured build, so
   this cell keeps pricing the cold spawn-and-ship path);
-* ``tiled-warmpool`` — the same process-pool build served from a
-  **warm pool**: the registry is primed once, every measured build
-  leases the already-spawned workers (the amortized serving path);
+* ``tiled-warmpool`` (pure Python only) — the same process-pool build
+  served from a **warm pool**: the registry is primed once, every
+  measured build leases the already-spawned workers (the amortized
+  serving path);
 * ``tiled-spill`` — tiled-f64 under an LRU tile budget
   (``max_resident_tiles``): bounded resident memory, evicted tiles
   rebuilt on touch;
@@ -33,23 +35,26 @@ Every run re-verifies correctness in-bench (these assertions gate CI):
 float64 configs must be element-wise *equal* to dense on a sampled
 index grid, tiled-f32 must stay inside the documented relative-error
 envelope, and the MMR selection must be identical across all configs.
+With NumPy, every smoke mode also runs the NumPy fan-out check in place
+of process cells: a ``workers=2`` build starts no process and stores
+the serial floats.
 
 Acceptance targets (ISSUE 5, measured at full sizes, reported in the
 JSON): tiled-f32 peak < 60% of dense-f64 peak at n=10,000, and the
 parallel tiled build ≥ 2× faster than the serial tiled build at
 n ≥ 2000 with 4 workers.
 
-``--multicore-smoke`` is the CI process-pool gate: tiles built through
-worker processes must be element-wise identical to the serial build on
-both backends, and on hosts with ≥ 2 CPUs the GIL-bound pure-Python
-build must run ≥ 1.5× faster through the pool.  ``--bounded-smoke`` is
+``--multicore-smoke`` is the CI process-pool gate: pure-Python tiles
+built through worker processes must be element-wise identical to the
+serial build, and on hosts with ≥ 2 CPUs the GIL-bound pure-Python
+build must run ≥ 1.5× faster through a cold pool.  ``--bounded-smoke`` is
 the CI memory gate: a spilling kernel materializes all of n = 20,000
 (dense-f64 equivalent: ~3.2 GB) with a tracemalloc peak under 35% of
 that, selecting float-for-float identically to an unbounded kernel.
-``--warm-smoke`` is the CI warm-path gate: warm-pool and mmap-spill
-builds must be float-identical to serial on both backends, and on
-hosts with ≥ 2 CPUs the second (warm) process-pool build must run
-≥ 2× faster than the cold one.
+``--warm-smoke`` is the CI warm-path gate: pure-Python warm-pool builds
+and mmap-spill builds on both backends must be float-identical to
+serial, and on hosts with ≥ 2 CPUs the second (warm) pure-Python
+process-pool build must run ≥ 2× faster than the cold one.
 
 Usage::
 
@@ -65,6 +70,7 @@ Usage::
 """
 
 import argparse
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -117,13 +123,25 @@ CONFIGS = (
     ("tiled-f64", dict(storage="tiled")),
     ("tiled-f32", dict(storage="tiled", dtype="float32")),
     ("tiled-parallel", dict(storage="tiled", workers=PARALLEL_WORKERS)),
-    ("tiled-procpool", dict(storage="tiled", workers="auto", parallel="process")),
-    ("tiled-warmpool", dict(storage="tiled", workers="auto", parallel="process")),
+    ("tiled-procpool", dict(storage="tiled", workers="auto")),
+    ("tiled-warmpool", dict(storage="tiled", workers="auto")),
     ("tiled-spill", dict(storage="tiled", block_size=64, max_resident_tiles=4)),
     # spill_dir is injected at run time (a per-run tempdir).
     ("tiled-mmap", dict(storage="tiled", block_size=64, max_resident_tiles=4,
                         spill_mode="mmap")),
 )
+
+#: Cold/warm process-pool cells: only pure-Python builds fan out over
+#: processes, so on NumPy :func:`assert_numpy_starts_no_process` runs
+#: in their place.
+PROCESS_CELLS = ("tiled-procpool", "tiled-warmpool")
+
+
+def configs_for(use_numpy):
+    return [
+        (config, knobs) for config, knobs in CONFIGS
+        if not (use_numpy and config in PROCESS_CELLS)
+    ]
 
 
 def build_instances(n, k=10, lam=0.5, seed=17):
@@ -230,6 +248,7 @@ def _cell_setup(config, knobs, instance, use_numpy, spill_root):
 
 
 def run_sizes(sizes, use_numpy, repeat):
+    configs = configs_for(use_numpy)
     records = []
     with tempfile.TemporaryDirectory(prefix="bench-storage-spill-") as spill_root:
         for n in sizes:
@@ -251,7 +270,7 @@ def run_sizes(sizes, use_numpy, repeat):
             dense_pick = mmr_select(instances["dense-f64"], kernel=dense)
             assert dense_pick is not None, "dense-f64: MMR returned no selection"
             dense_rows = [list(row.values) for row in dense_pick[1]]
-            for config, knobs in CONFIGS[1:]:
+            for config, knobs in configs[1:]:
                 knobs, prepare = _cell_setup(
                     config, knobs, instances[config], use_numpy, spill_root
                 )
@@ -267,7 +286,7 @@ def run_sizes(sizes, use_numpy, repeat):
                 )
                 results[config] = (seconds, peak, kernel.dtype)
                 del kernel
-            for config, knobs in CONFIGS:
+            for config, knobs in configs:
                 seconds, peak, dtype = results[config]
                 records.append(
                     common.StorageBenchRecord(
@@ -422,44 +441,61 @@ def _assert_same_kernel(label, serial, pooled, serial_inst, pooled_inst, n):
     ], f"{label}: MMR selection diverged"
 
 
+def assert_numpy_starts_no_process(n=1200, block=128):
+    """The NumPy fan-out check: a ``workers=2`` build fans out over
+    threads — it starts no child process and leaves the warm-pool
+    registry untouched — and stores exactly the serial floats."""
+    registry = warm_pool_registry()
+    before = registry.stats()
+    children = set(multiprocessing.active_children())
+    serial_inst, threaded_inst = _instance_pair(n, k=5)
+    serial = _build_kernel(serial_inst, True, storage="tiled", block_size=block)
+    threaded = _build_kernel(
+        threaded_inst, True, storage="tiled", block_size=block, workers=2
+    )
+    started = set(multiprocessing.active_children()) - children
+    assert not started, f"numpy: a workers=2 build started {len(started)} process(es)"
+    assert registry.stats() == before, (
+        "numpy: a workers=2 build went through the process-pool registry"
+    )
+    _assert_same_kernel(
+        "threads/numpy", serial, threaded, serial_inst, threaded_inst, n
+    )
+    print(
+        f"numpy check ok: n={n}, workers=2 build started no process, "
+        "tiles identical to serial"
+    )
+
+
 def run_multicore_smoke(use_numpy, json_path=None):
     """The CI process-pool gate.
 
-    Parity cells (both backends, pool forced with ``workers=2`` so they
-    exercise worker processes even on single-CPU hosts): process-built
-    tiles must be element-wise identical to the serial build.  The
-    speedup cell runs the GIL-bound pure-Python build with
-    ``workers="auto"`` and must clear ``MULTICORE_TARGET_SPEEDUP`` —
-    enforced only when ≥ 2 CPUs are visible (a 1-worker pool resolves
-    to the serial path by design).
+    Parity cell (pure Python, pool forced with ``workers=2`` so it
+    exercises worker processes even on single-CPU hosts): process-built
+    tiles must be element-wise identical to the serial build; with NumPy
+    the NumPy fan-out check runs too.  The speedup cell runs the
+    GIL-bound pure-Python build with ``workers="auto"`` through a cold
+    pool and must clear ``MULTICORE_TARGET_SPEEDUP`` — enforced only
+    when ≥ 2 CPUs are visible (a 1-worker pool resolves to the serial
+    path by design).
     """
     start = time.perf_counter()
     cpus = available_cpus()
     workers = resolve_workers("auto")
     print(f"multicore smoke: {cpus} CPU(s) visible, workers='auto' -> {workers}")
-    backends = [("python", False, 300, 32)]
     if use_numpy:
-        backends.insert(0, ("numpy", True, 1200, 128))
-    for name, flag, n, block in backends:
-        serial_inst, pooled_inst = _instance_pair(n, k=5)
-        serial = _build_kernel(
-            serial_inst, flag, storage="tiled", block_size=block
-        )
-        pooled = _build_kernel(
-            pooled_inst,
-            flag,
-            storage="tiled",
-            block_size=block,
-            workers=2,
-            parallel="process",
-        )
-        _assert_same_kernel(
-            f"procpool/{name}", serial, pooled, serial_inst, pooled_inst, n
-        )
-        print(
-            f"parity ok: {name} backend, n={n}, "
-            "process-built tiles identical to serial"
-        )
+        assert_numpy_starts_no_process()
+    n, block = 300, 32
+    serial_inst, pooled_inst = _instance_pair(n, k=5)
+    serial = _build_kernel(serial_inst, False, storage="tiled", block_size=block)
+    pooled = _build_kernel(
+        pooled_inst, False, storage="tiled", block_size=block, workers=2
+    )
+    _assert_same_kernel(
+        "procpool/python", serial, pooled, serial_inst, pooled_inst, n
+    )
+    print(f"parity ok: python backend, n={n}, process-built tiles identical to serial")
+    warm_pool_registry().clear()  # the gate prices a cold pool
     n, block = 2200, 64
     serial_inst, pooled_inst = _instance_pair(n, k=5)
     t = time.perf_counter()
@@ -467,12 +503,7 @@ def run_multicore_smoke(use_numpy, json_path=None):
     serial_seconds = time.perf_counter() - t
     t = time.perf_counter()
     pooled = _build_kernel(
-        pooled_inst,
-        False,
-        storage="tiled",
-        block_size=block,
-        workers="auto",
-        parallel="process",
+        pooled_inst, False, storage="tiled", block_size=block, workers="auto"
     )
     pooled_seconds = time.perf_counter() - t
     _assert_same_kernel(
@@ -522,9 +553,10 @@ def run_multicore_smoke(use_numpy, json_path=None):
 def run_warm_smoke(use_numpy, json_path=None):
     """The CI warm-path gate.
 
-    Parity cells (both backends): a build served from a warm pool and a
-    budgeted ``spill_mode="mmap"`` kernel must both be float-identical
-    to the serial build — sampled grid, row sums, and MMR selection.
+    Parity cells: a pure-Python build served from a warm pool, and a
+    budgeted ``spill_mode="mmap"`` kernel on both backends, must be
+    float-identical to the serial build — sampled grid, row sums, and
+    MMR selection; with NumPy the NumPy fan-out check runs too.
     The speedup cell times the GIL-bound pure-Python process build cold
     (registry cleared: worker spawn + snapshot ship on the clock) and
     then warm (same snapshot, pool leased from the registry) and must
@@ -534,37 +566,40 @@ def run_warm_smoke(use_numpy, json_path=None):
     registry = warm_pool_registry()
     cpus = available_cpus()
     print(f"warm smoke: {cpus} CPU(s) visible")
+    if use_numpy:
+        assert_numpy_starts_no_process()
     backends = [("python", False, 300, 32)]
     if use_numpy:
         backends.insert(0, ("numpy", True, 1200, 128))
     mmap_stats = {}
     with tempfile.TemporaryDirectory(prefix="warm-smoke-spill-") as spill_root:
         for name, flag, n, block in backends:
-            registry.clear()
             serial_inst, pooled_inst = _instance_pair(n, k=5)
             serial = _build_kernel(
                 serial_inst, flag, storage="tiled", block_size=block
             )
-            # Cold process build primes the registry; the warm build
-            # leases the pool it left behind.
-            _build_kernel(
-                pooled_inst, flag, storage="tiled", block_size=block,
-                workers=2, parallel="process",
-            )
-            warm = _build_kernel(
-                pooled_inst, flag, storage="tiled", block_size=block,
-                workers=2, parallel="process",
-            )
-            assert registry.stats()["hits"] >= 1, (
-                f"warm/{name}: second build missed the warm pool"
-            )
-            _assert_same_kernel(
-                f"warm/{name}", serial, warm, serial_inst, pooled_inst, n
-            )
-            print(
-                f"parity ok: {name} backend, n={n}, "
-                "warm-pool build identical to serial"
-            )
+            if not flag:
+                # Cold process build primes the registry; the warm build
+                # leases the pool it left behind.
+                registry.clear()
+                _build_kernel(
+                    pooled_inst, False, storage="tiled", block_size=block,
+                    workers=2,
+                )
+                warm = _build_kernel(
+                    pooled_inst, False, storage="tiled", block_size=block,
+                    workers=2,
+                )
+                assert registry.stats()["hits"] >= 1, (
+                    f"warm/{name}: second build missed the warm pool"
+                )
+                _assert_same_kernel(
+                    f"warm/{name}", serial, warm, serial_inst, pooled_inst, n
+                )
+                print(
+                    f"parity ok: {name} backend, n={n}, "
+                    "warm-pool build identical to serial"
+                )
             mapped_inst = _instance_pair(n, k=5)[0]
             mapped = _build_kernel(
                 mapped_inst, flag, storage="tiled", block_size=block,
@@ -595,14 +630,12 @@ def run_warm_smoke(use_numpy, json_path=None):
         # the snapshot digest, so the payload must pickle byte-identically.
         t = time.perf_counter()
         _build_kernel(
-            pooled_inst, False, storage="tiled", block_size=block,
-            workers=2, parallel="process",
+            pooled_inst, False, storage="tiled", block_size=block, workers=2
         )
         cold_seconds = time.perf_counter() - t
         t = time.perf_counter()
         warm = _build_kernel(
-            pooled_inst, False, storage="tiled", block_size=block,
-            workers=2, parallel="process",
+            pooled_inst, False, storage="tiled", block_size=block, workers=2
         )
         warm_seconds = time.perf_counter() - t
         _assert_same_kernel(
@@ -821,6 +854,8 @@ def main(argv=None):
         sizes = tuple(args.sizes) if args.sizes else (2000, 10000)
 
     records = run_sizes(sizes, use_numpy, args.repeat)
+    if use_numpy:
+        assert_numpy_starts_no_process()
     elapsed = time.perf_counter() - start
 
     print(
@@ -858,7 +893,7 @@ def main(argv=None):
     if cpus < PARALLEL_WORKERS:
         print(
             f"note: only {cpus} CPU(s) visible — a {PARALLEL_WORKERS}-worker "
-            "thread pool cannot beat the serial build on this machine; "
+            "pool cannot beat the serial build on this machine; "
             "interpret the parallel row accordingly"
         )
 

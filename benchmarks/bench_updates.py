@@ -37,6 +37,7 @@ try:
 except ImportError:  # running as a script without PYTHONPATH/pip install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.api import EngineConfig
 from repro.engine import (
     DiversificationEngine,
     ScoringKernel,
@@ -187,7 +188,9 @@ def _serve_loop(n, events, updates_per_solve, use_numpy, patch_threshold, seed, 
     workload = StreamingWebSearch(num_docs=n, num_intents=6, seed=seed)
     instance = workload.make_instance(k=k, lam=lam, use_provider=False)
     engine = DiversificationEngine(
-        algorithm="mmr", use_numpy=use_numpy, patch_threshold=patch_threshold
+        algorithm="mmr",
+        use_numpy=use_numpy,
+        config=EngineConfig(patch_threshold=patch_threshold),
     )
     engine.run(instance)  # initial materialization (untimed warm-up)
     applied = 0

@@ -40,13 +40,16 @@ Commands:
 
 Both ``diversify`` and ``serve`` share one engine-policy flag set
 (:func:`repro.api.add_engine_config_args`: ``--storage`` / ``--dtype``
-/ ``--workers`` (an int or ``auto``) / ``--parallel`` /
-``--max-resident-tiles`` / ``--max-resident-bytes`` / ``--spill-dir``
-/ ``--spill-mode`` / ``--max-warm-pools`` / ``--warm-pool-ttl``
-/ ``--block-size`` / ``--cache-size`` /
-``--patch-threshold`` / ``--sketch-columns`` / ``--landmarks`` /
-``--approx``), layered over ``REPRO_*`` environment variables
-(:meth:`repro.api.EngineConfig.from_env`).  Any non-default policy
+/ ``--workers`` (an int or ``auto``) / ``--max-resident-tiles`` /
+``--max-resident-bytes`` / ``--spill-dir`` / ``--spill-mode`` /
+``--block-size`` / ``--cache-size`` / ``--patch-threshold`` /
+``--sketch-columns`` / ``--landmarks`` / ``--approx``), layered over
+``REPRO_*`` environment variables
+(:meth:`repro.api.EngineConfig.from_env`).  ``--workers`` is the only
+parallelism flag: the kernel backend picks the fan-out (threads with
+NumPy, a warm process pool on pure Python), and builds run serially
+when the scoring functions cannot be pickled — as for ``diversify``,
+which wraps them in closures.  Any non-default policy
 routes through a dedicated engine memoized on the
 :class:`~repro.api.EngineConfig`, so repeated invocations still reuse
 kernels.

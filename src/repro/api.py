@@ -12,8 +12,9 @@ wiring.  This module collapses that sprawl into three value objects:
   the flags added by :func:`add_engine_config_args`), or from
   ``REPRO_*`` environment variables (:meth:`EngineConfig.from_env`).
   ``DiversificationEngine(config=...)`` and
-  ``kernel_for_instance(..., config=...)`` consume it; the old loose
-  kwargs keep working through a shim that emits ``DeprecationWarning``.
+  ``kernel_for_instance(..., config=...)`` consume it; it is the only
+  way to pass engine policy (the loose-kwarg shim deprecated in 1.2.0
+  was removed in 1.3.0).
 * :class:`DiversifyRequest` — one diversification request: either an
   in-process :class:`~repro.core.instance.DiversificationInstance` or a
   wire-friendly ``(workload, params)`` pair resolved through the
@@ -25,11 +26,9 @@ wiring.  This module collapses that sprawl into three value objects:
   coalesced / cached), with a stable JSON round-trip
   (:meth:`DiversifyResponse.to_dict` / ``from_dict``, NaN → null).
 
-Deprecation policy: the loose keyword surface
-(``DiversificationEngine(storage=..., dtype=..., ...)``) remains
-functional and float-for-float equivalent to the config path for at
-least one minor release after the warning appeared; new knobs are added
-to :class:`EngineConfig` only.
+Deprecation policy: a deprecated surface keeps working, with a
+``DeprecationWarning``, for at least one minor release before it is
+removed; new knobs are added to :class:`EngineConfig` only.
 """
 
 from __future__ import annotations
@@ -129,16 +128,14 @@ def _workers_value(raw: str, label: str = "workers") -> int | str:
 class EngineConfig:
     """The engine's policy knobs as one frozen, hashable value.
 
-    Field semantics are exactly the historical loose kwargs of
-    :class:`~repro.engine.engine.DiversificationEngine`:
-
     * ``storage`` — kernel distance-matrix layout (``"dense"`` default /
       ``"tiled"`` / ``"sketched"``); ``dtype`` — at-rest tile dtype
-      (tiled only); ``workers`` — pool width for parallel tile builds
-      (an int, or ``"auto"`` for the host CPU count resolved at build
-      time); ``parallel`` — how a multi-worker build fans out
-      (``"thread"`` default, ``"process"`` for true multicore via a
-      process pool when the scoring snapshot pickles);
+      (tiled only); ``workers`` — the one parallelism knob: pool width
+      for tile builds (an int, or ``"auto"`` for the host CPU count
+      resolved at build time).  The backend picks the fan-out — threads
+      on NumPy, a warm process pool on pure Python — and a build runs
+      serially when ``workers`` resolves to 1, when the scoring
+      snapshot does not pickle, or when the pool breaks;
       ``block_size`` — rows per tile of the blocked construction;
     * ``max_resident_tiles`` / ``max_resident_bytes`` — LRU bound on
       tiles resident in memory (tiled only; evicted tiles rebuild on
@@ -146,9 +143,6 @@ class EngineConfig:
       rebuilding them; ``spill_mode`` — how spilled tiles come back
       (``"file"`` default rehydrates whole tiles, ``"mmap"`` reads row
       windows from a per-kernel segment file, byte-exact either way);
-    * ``max_warm_pools`` / ``warm_pool_ttl`` — the process-wide warm
-      pool registry for ``parallel="process"`` builds (pools kept
-      alive between builds of one snapshot; 0 disables warm pooling);
     * ``patch_threshold`` — largest stale-kernel delta (fraction of n)
       that is patched in place rather than rebuilt;
     * ``cache_size`` — LRU bound on live kernels per engine;
@@ -164,13 +158,10 @@ class EngineConfig:
     storage: str | None = None
     dtype: str | None = None
     workers: int | str | None = None
-    parallel: str | None = None
     max_resident_tiles: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
     spill_mode: str | None = None
-    max_warm_pools: int | None = None
-    warm_pool_ttl: float | None = None
     block_size: int | None = None
     patch_threshold: float = 0.5
     cache_size: int = 8
@@ -209,10 +200,9 @@ class EngineConfig:
                 "dense storage is float64-only; pass storage='tiled' with "
                 f"dtype={self.dtype!r}"
             )
-        from .engine.parallel import validate_parallel, validate_workers
+        from .engine.parallel import validate_workers
 
         validate_workers(self.workers, ApiError)
-        validate_parallel(self.parallel, ApiError)
         if (
             isinstance(self.workers, int)
             and self.workers > 1
@@ -221,11 +211,6 @@ class EngineConfig:
             raise ApiError(
                 "dense storage builds serially; pass storage='tiled' with "
                 f"workers={self.workers}"
-            )
-        if self.parallel == "process" and (self.storage or "dense") == "dense":
-            raise ApiError(
-                "dense storage builds serially; pass storage='tiled' with "
-                "parallel='process'"
             )
         for name in ("max_resident_tiles", "max_resident_bytes"):
             budget = getattr(self, name)
@@ -244,14 +229,6 @@ class EngineConfig:
                     "spill_mode='mmap' maps spilled tiles back from disk "
                     "and needs spill_dir set"
                 )
-        if self.max_warm_pools is not None and self.max_warm_pools < 0:
-            raise ApiError(
-                f"max_warm_pools must be >= 0, got {self.max_warm_pools}"
-            )
-        if self.warm_pool_ttl is not None and self.warm_pool_ttl <= 0:
-            raise ApiError(
-                f"warm_pool_ttl must be > 0, got {self.warm_pool_ttl}"
-            )
         if (self.storage or "dense") == "dense" and (
             self.max_resident_tiles is not None
             or self.max_resident_bytes is not None
@@ -321,8 +298,6 @@ class EngineConfig:
             overrides["dtype"] = None
         if self.workers == 1:
             overrides["workers"] = None
-        if self.parallel == "thread":
-            overrides["parallel"] = None
         if self.spill_mode == "file":
             overrides["spill_mode"] = None
         if self.block_size == DEFAULT_BLOCK_SIZE:
@@ -345,10 +320,9 @@ class EngineConfig:
         config = base if base is not None else cls()
         overrides = {
             name: value
-            for name in ("storage", "dtype", "workers", "parallel",
+            for name in ("storage", "dtype", "workers",
                          "max_resident_tiles", "max_resident_bytes",
-                         "spill_dir", "spill_mode",
-                         "max_warm_pools", "warm_pool_ttl", "block_size",
+                         "spill_dir", "spill_mode", "block_size",
                          "patch_threshold", "cache_size",
                          "sketch_columns", "landmarks", "approx")
             if (value := getattr(args, name, None)) is not None
@@ -361,11 +335,9 @@ class EngineConfig:
     ) -> "EngineConfig":
         """The config selected by ``REPRO_<FIELD>`` environment
         variables (``REPRO_STORAGE``, ``REPRO_DTYPE``, ``REPRO_WORKERS``
-        — an int or ``auto`` —, ``REPRO_PARALLEL``,
-        ``REPRO_MAX_RESIDENT_TILES``, ``REPRO_MAX_RESIDENT_BYTES``,
-        ``REPRO_SPILL_DIR``, ``REPRO_SPILL_MODE``,
-        ``REPRO_MAX_WARM_POOLS``, ``REPRO_WARM_POOL_TTL``,
-        ``REPRO_BLOCK_SIZE``, ``REPRO_PATCH_THRESHOLD``,
+        — an int or ``auto`` —, ``REPRO_MAX_RESIDENT_TILES``,
+        ``REPRO_MAX_RESIDENT_BYTES``, ``REPRO_SPILL_DIR``,
+        ``REPRO_SPILL_MODE``, ``REPRO_BLOCK_SIZE``, ``REPRO_PATCH_THRESHOLD``,
         ``REPRO_CACHE_SIZE``, ``REPRO_SKETCH_COLUMNS``,
         ``REPRO_LANDMARKS``, ``REPRO_APPROX``) — the deployment-facing
         twin of :meth:`from_args`."""
@@ -390,7 +362,6 @@ class EngineConfig:
             elif spec.name in (
                 "block_size", "cache_size", "sketch_columns",
                 "max_resident_tiles", "max_resident_bytes",
-                "max_warm_pools",
             ):
                 try:
                     overrides[spec.name] = int(raw)
@@ -398,7 +369,7 @@ class EngineConfig:
                     raise ApiError(
                         f"REPRO_{spec.name.upper()} must be an integer, got {raw!r}"
                     ) from None
-            elif spec.name in ("patch_threshold", "warm_pool_ttl"):
+            elif spec.name == "patch_threshold":
                 try:
                     overrides[spec.name] = float(raw)
                 except ValueError:
@@ -448,18 +419,11 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         type=_workers_value,
         default=None,
         metavar="N|auto",
-        help="pool width for parallel tiled-matrix builds: an int, or "
-        "'auto' for the host CPU count (resolved at build time)",
-    )
-    parser.add_argument(
-        "--parallel",
-        choices=["thread", "process"],
-        default=None,
-        help="how multi-worker builds fan out: thread (default; wins "
-        "when provider blocks release the GIL) or process (true "
-        "multicore — tiles score in worker processes and return via "
-        "shared memory; falls back to threads when the scoring "
-        "functions cannot be pickled)",
+        help="pool width for tiled/sketched matrix builds: an int, or "
+        "'auto' for the host CPU count (resolved at build time).  The "
+        "backend picks the fan-out: threads with NumPy, a warm process "
+        "pool on pure Python; builds run serially at 1 worker, when the "
+        "scoring functions cannot be pickled, or when the pool breaks",
     )
     parser.add_argument(
         "--max-resident-tiles",
@@ -492,23 +456,6 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         "whole tiles) or mmap (row reads map only the bytes they need "
         "from a per-kernel segment file; byte-exact; requires "
         "--spill-dir)",
-    )
-    parser.add_argument(
-        "--max-warm-pools",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process pools kept warm between parallel=process builds "
-        "of one scoring snapshot (LRU; default 4; 0 creates/tears down "
-        "a pool per build)",
-    )
-    parser.add_argument(
-        "--warm-pool-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="idle seconds before a warm process pool is shut down "
-        "(default 300)",
     )
     parser.add_argument(
         "--block-size",

@@ -30,12 +30,12 @@ plain callables), and the distance matrix is assembled from tiled
 Where the matrix *lives* is pluggable (:mod:`repro.engine.storage`):
 :class:`DenseStorage` is the historical single contiguous float64
 allocation, :class:`TiledStorage` keeps it as a lazy grid of tiles —
-built on first touch, optionally in parallel (``workers=``, over
-threads or — via ``parallel="process"`` and
-:mod:`repro.engine.parallel` — worker processes with shared-memory
-tile return), optionally float32 at rest (``dtype=``), optionally
-LRU-bounded in memory (``max_resident_tiles=`` / ``max_resident_bytes=``
-with rebuild-on-touch or ``spill_dir=`` disk spill) — selected by the
+built on first touch, optionally in parallel (``workers=``; the
+backend picks the fan-out in :mod:`repro.engine.parallel` — threads on
+NumPy, a warm process pool on pure Python), optionally float32 at rest
+(``dtype=``), optionally LRU-bounded in memory (``max_resident_tiles=``
+/ ``max_resident_bytes=`` with rebuild-on-touch or ``spill_dir=`` disk
+spill) — selected by the
 ``storage``/``dtype``/``workers`` knobs on :class:`ScoringKernel`,
 :func:`kernel_for_instance` and :class:`DiversificationEngine`.
 
@@ -68,11 +68,9 @@ from .kernel import (
     numpy_available,
 )
 from .parallel import (
-    PARALLEL_MODES,
     WarmPoolRegistry,
     available_cpus,
     resolve_workers,
-    supports_process_pool,
     warm_pool_registry,
 )
 from .storage import (
@@ -98,7 +96,6 @@ __all__ = [
     "KernelDelta",
     "KernelError",
     "KernelStorage",
-    "PARALLEL_MODES",
     "SPILL_MODES",
     "STORAGE_DTYPES",
     "STORAGE_KINDS",
@@ -117,7 +114,6 @@ __all__ = [
     "numpy_available",
     "reset_default_engine",
     "resolve_workers",
-    "supports_process_pool",
     "variants_grid",
     "warm_pool_registry",
 ]

@@ -23,7 +23,6 @@ and constraint-aware local search when Σ is non-empty.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
@@ -273,41 +272,25 @@ class EngineResult:
 class DiversificationEngine:
     """Runs batches of diversification instances with kernel reuse.
 
-    ``cache_size`` bounds the number of live kernels (LRU eviction);
     ``use_numpy`` selects the kernel backend (None = auto-detect);
+    every other policy knob lives on ``config`` (a
+    :class:`~repro.api.EngineConfig`, default ``EngineConfig()``):
+    ``cache_size`` bounds the number of live kernels (LRU eviction),
     ``patch_threshold`` is the largest delta, as a fraction of the
     answer-set size, that a stale cached kernel is delta-patched for
-    (larger deltas rebuild from scratch — 0 disables patching);
-    ``block_size`` is the tile width of the blocked kernel construction
-    (None = :data:`~repro.engine.kernel.DEFAULT_BLOCK_SIZE`).
-
-    ``storage`` / ``dtype`` / ``workers`` are the kernel-storage policy
-    knobs (see :mod:`repro.engine.storage`): ``storage="tiled"`` keeps
-    distance matrices as lazy tile grids instead of one contiguous
-    allocation, ``dtype="float32"`` (tiled only) halves at-rest matrix
-    memory while reductions stay float64, and ``workers`` parallelizes
-    full tile builds over a thread pool.  The config-only knobs
-    ``parallel`` (``"process"`` fans tile builds over worker processes
-    when the scoring snapshot pickles), ``max_resident_tiles`` /
-    ``max_resident_bytes`` (LRU tile budgets), ``spill_dir`` (disk
-    spill for evicted tiles), ``spill_mode`` (``"mmap"`` reads spilled
-    rows back through byte-exact mapped windows) and ``max_warm_pools``
-    / ``warm_pool_ttl`` (the process-wide warm pool registry that
-    amortizes process-pool startup across repeated builds) extend that
-    policy; every kernel this engine builds inherits them.
+    (larger deltas rebuild from scratch — 0 disables patching), and the
+    storage knobs (``storage`` / ``dtype`` / ``workers`` / tile budgets
+    / ``spill_dir`` / ``spill_mode`` / ``block_size`` / the sketch plan,
+    see :mod:`repro.engine.storage`) apply to every kernel this engine
+    builds.  ``workers`` is the only parallelism knob: the backend
+    decides how a build fans out over it (:mod:`repro.engine.parallel`).
     """
 
     def __init__(
         self,
         algorithm: str = "auto",
-        cache_size: int | None = None,
-        use_numpy: bool | None = None,
-        patch_threshold: float | None = None,
-        block_size: int | None = None,
-        storage: str | None = None,
-        dtype: str | None = None,
-        workers: int | None = None,
         *,
+        use_numpy: bool | None = None,
         config: EngineConfig | None = None,
     ):
         if algorithm != "auto" and algorithm not in ALGORITHMS:
@@ -315,34 +298,8 @@ class DiversificationEngine:
                 f"unknown algorithm {algorithm!r}; "
                 f"choose 'auto' or one of {sorted(ALGORITHMS)}"
             )
-        loose = {
-            name: value
-            for name, value in (
-                ("cache_size", cache_size),
-                ("patch_threshold", patch_threshold),
-                ("block_size", block_size),
-                ("storage", storage),
-                ("dtype", dtype),
-                ("workers", workers),
-            )
-            if value is not None
-        }
-        if config is not None and loose:
-            raise EngineError(
-                "pass the engine policy either as config=EngineConfig(...) "
-                f"or as loose kwargs, not both (got loose {sorted(loose)})"
-            )
         if config is None:
             config = EngineConfig()
-            if loose:
-                warnings.warn(
-                    "the loose DiversificationEngine policy kwargs "
-                    f"({', '.join(sorted(loose))}) are deprecated; pass "
-                    "config=repro.api.EngineConfig(...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                config = replace(config, **loose)
         try:
             config.validate()
         except ValueError as exc:
@@ -373,60 +330,6 @@ class DiversificationEngine:
             "pool_misses": 0,
             "invalidations": 0,
         }
-
-    # Read-only views of the config knobs, kept for the historical
-    # attribute surface (benchmarks and downstream code read these).
-    @property
-    def cache_size(self) -> int:
-        return self.config.cache_size
-
-    @property
-    def patch_threshold(self) -> float:
-        return self.config.patch_threshold
-
-    @property
-    def block_size(self) -> int | None:
-        return self.config.block_size
-
-    @property
-    def storage(self) -> str | None:
-        return self.config.storage
-
-    @property
-    def dtype(self) -> str | None:
-        return self.config.dtype
-
-    @property
-    def workers(self) -> "int | str | None":
-        return self.config.workers
-
-    @property
-    def parallel(self) -> str | None:
-        return self.config.parallel
-
-    @property
-    def max_resident_tiles(self) -> int | None:
-        return self.config.max_resident_tiles
-
-    @property
-    def max_resident_bytes(self) -> int | None:
-        return self.config.max_resident_bytes
-
-    @property
-    def spill_dir(self) -> str | None:
-        return self.config.spill_dir
-
-    @property
-    def spill_mode(self) -> str | None:
-        return self.config.spill_mode
-
-    @property
-    def max_warm_pools(self) -> int | None:
-        return self.config.max_warm_pools
-
-    @property
-    def warm_pool_ttl(self) -> float | None:
-        return self.config.warm_pool_ttl
 
     def storage_stats(self) -> dict:
         """Aggregated storage counters over the cached kernels — the
@@ -497,7 +400,7 @@ class DiversificationEngine:
                 self.stats.hits += 1
                 return kernel
             delta = compute_delta(kernel, rows)
-            if delta.size <= self.patch_threshold * max(kernel.n, len(rows), 1):
+            if delta.size <= self.config.patch_threshold * max(kernel.n, len(rows), 1):
                 kernel.apply_delta(delta.inserted, delta.deleted)
                 self._cache.move_to_end(key)
                 self.stats.patches += 1
@@ -512,7 +415,7 @@ class DiversificationEngine:
         self._cache[key] = kernel
         self._cache.move_to_end(key)
         self.stats.misses += 1
-        while len(self._cache) > self.cache_size:
+        while len(self._cache) > self.config.cache_size:
             self._cache.popitem(last=False)
             self.stats.evictions += 1
         return kernel
@@ -570,7 +473,7 @@ class DiversificationEngine:
         self._retrievers[key] = (rows, retriever)
         self._retrievers.move_to_end(key)
         self.retrieval_stats["indexes_built"] += 1
-        while len(self._retrievers) > self.cache_size:
+        while len(self._retrievers) > self.config.cache_size:
             evicted, _entry = self._retrievers.popitem(last=False)
             self._drop_pools(evicted)
         return retriever
@@ -662,7 +565,7 @@ class DiversificationEngine:
         self._pools[pool_key] = (rows, pool, result)
         self._pools.move_to_end(pool_key)
         self.retrieval_stats["pool_misses"] += 1
-        while len(self._pools) > self.cache_size:
+        while len(self._pools) > self.config.cache_size:
             self._pools.popitem(last=False)
         return pool, result
 
@@ -826,7 +729,7 @@ class DiversificationEngine:
     def __repr__(self) -> str:
         return (
             f"DiversificationEngine(algorithm={self.algorithm!r}, "
-            f"cache={len(self._cache)}/{self.cache_size}, "
+            f"cache={len(self._cache)}/{self.config.cache_size}, "
             f"hits={self.stats.hits}, misses={self.stats.misses})"
         )
 

@@ -57,7 +57,7 @@ from ..core.evaluator import (
 from ..core.objectives import Objective, ObjectiveError, ObjectiveKind
 from ..core.providers import LANDMARK_STRATEGIES, provider_for
 from ..relational.schema import Row, row_sort_key
-from .parallel import validate_parallel, validate_workers, warm_pool_registry
+from .parallel import validate_workers, warm_pool_registry
 from .storage import (
     SPILL_MODES,
     STORAGE_DTYPES,
@@ -131,13 +131,10 @@ class ScoringKernel:
         "storage_kind",
         "dtype",
         "workers",
-        "parallel",
         "max_resident_tiles",
         "max_resident_bytes",
         "spill_dir",
         "spill_mode",
-        "max_warm_pools",
-        "warm_pool_ttl",
         "sketch_columns",
         "landmarks",
         "answers",
@@ -160,13 +157,10 @@ class ScoringKernel:
         storage: str | None = None,
         dtype: str | None = None,
         workers: "int | str | None" = None,
-        parallel: str | None = None,
         max_resident_tiles: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
         spill_mode: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
         sketch_columns: int | None = None,
         landmarks: str | None = None,
     ):
@@ -199,7 +193,6 @@ class ScoringKernel:
                 "baseline); use storage='tiled' for dtype='float32'"
             )
         workers = validate_workers(workers, KernelError)
-        parallel = validate_parallel(parallel, KernelError)
         if max_resident_tiles is not None and max_resident_tiles < 1:
             raise KernelError(
                 f"max_resident_tiles must be >= 1, got {max_resident_tiles}"
@@ -217,28 +210,15 @@ class ScoringKernel:
                 "spill_mode='mmap' maps spilled tiles back from disk and "
                 "needs spill_dir set"
             )
-        if max_warm_pools is not None and max_warm_pools < 0:
-            raise KernelError(
-                f"max_warm_pools must be >= 0, got {max_warm_pools}"
-            )
-        if warm_pool_ttl is not None and warm_pool_ttl <= 0:
-            raise KernelError(
-                f"warm_pool_ttl must be > 0, got {warm_pool_ttl}"
-            )
         if storage == "dense":
             # "auto" is allowed everywhere (it resolves at build time,
             # which for dense means "serial"); only an explicit request
-            # for multi-worker / process / spilling builds is a
-            # contradiction with the eager contiguous layout.
+            # for multi-worker or spilling builds is a contradiction with
+            # the eager contiguous layout.
             if isinstance(workers, int) and workers > 1:
                 raise KernelError(
                     "dense storage builds serially; use storage='tiled' for "
                     f"workers={workers}"
-                )
-            if parallel == "process":
-                raise KernelError(
-                    "dense storage builds serially; use storage='tiled' for "
-                    "parallel='process'"
                 )
             if (
                 max_resident_tiles is not None
@@ -288,13 +268,10 @@ class ScoringKernel:
         self.storage_kind = storage
         self.dtype = dtype
         self.workers = workers
-        self.parallel = parallel
         self.max_resident_tiles = max_resident_tiles
         self.max_resident_bytes = max_resident_bytes
         self.spill_dir = spill_dir
         self.spill_mode = spill_mode
-        self.max_warm_pools = max_warm_pools
-        self.warm_pool_ttl = warm_pool_ttl
         self.sketch_columns = sketch_columns
         self.landmarks = landmarks
         self.answers: tuple[Row, ...] = tuple(instance.answers())
@@ -344,10 +321,10 @@ class ScoringKernel:
         )
 
     def _pool_snapshot(self) -> tuple:
-        """The (provider, answers) snapshot a process pool ships to its
-        workers — read at pool-creation time, so builds after a delta
-        patch score against the updated snapshot just like the lazy
-        block builder does."""
+        """The (provider, answers) snapshot a pure-Python process build
+        ships to its workers — read at pool-creation time, so builds
+        after a delta patch score against the updated snapshot just like
+        the lazy block builder does."""
         return self.provider, self.answers
 
     def _materialize_distances(self) -> None:
@@ -370,13 +347,10 @@ class ScoringKernel:
             self.block_size,
             dtype=self.dtype,
             workers=self.workers,
-            parallel=self.parallel,
             max_resident_tiles=self.max_resident_tiles,
             max_resident_bytes=self.max_resident_bytes,
             spill_dir=self.spill_dir,
             spill_mode=self.spill_mode,
-            max_warm_pools=self.max_warm_pools,
-            warm_pool_ttl=self.warm_pool_ttl,
             pool_source=self._pool_snapshot,
         )
         self._row_sums = None
@@ -403,9 +377,9 @@ class ScoringKernel:
 
     def materialize_all(self) -> None:
         """Force the full O(n²) distance materialization now — tiled
-        kernels build every remaining tile, fanning the builds over the
-        ``workers`` thread pool, or over a process pool when
-        ``parallel='process'`` and the scoring snapshot pickles."""
+        kernels build every remaining tile, fanned out over ``workers``
+        the one way the backend allows (threads on NumPy, a warm process
+        pool on pure Python; see :mod:`repro.engine.parallel`)."""
         self._require_dist().ensure_all()
 
     def storage_stats(self) -> dict:
@@ -499,9 +473,6 @@ class ScoringKernel:
                 self.block_size,
                 strategy,
                 workers=self.workers,
-                parallel=self.parallel,
-                max_warm_pools=self.max_warm_pools,
-                warm_pool_ttl=self.warm_pool_ttl,
                 pool_source=self._pool_snapshot,
             )
         return self._sketch
@@ -575,13 +546,10 @@ class ScoringKernel:
         storage: str | None = None,
         dtype: str | None = None,
         workers: "int | str | None" = None,
-        parallel: str | None = None,
         max_resident_tiles: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
         spill_mode: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
     ) -> "ScoringKernel":
         return cls(
             instance,
@@ -590,13 +558,10 @@ class ScoringKernel:
             storage=storage,
             dtype=dtype,
             workers=workers,
-            parallel=parallel,
             max_resident_tiles=max_resident_tiles,
             max_resident_bytes=max_resident_bytes,
             spill_dir=spill_dir,
             spill_mode=spill_mode,
-            max_warm_pools=max_warm_pools,
-            warm_pool_ttl=warm_pool_ttl,
         )
 
     # -- identity ---------------------------------------------------------
@@ -1049,13 +1014,10 @@ def kernel_for_instance(
     storage: str | None = None,
     dtype: str | None = None,
     workers: "int | str | None" = None,
-    parallel: str | None = None,
     max_resident_tiles: int | None = None,
     max_resident_bytes: int | None = None,
     spill_dir: str | None = None,
     spill_mode: str | None = None,
-    max_warm_pools: int | None = None,
-    warm_pool_ttl: float | None = None,
     config=None,
     access: str | None = None,
 ) -> ScoringKernel:
@@ -1090,8 +1052,6 @@ def kernel_for_instance(
         storage = storage if storage is not None else config.storage
         dtype = dtype if dtype is not None else config.dtype
         workers = workers if workers is not None else config.workers
-        if parallel is None:
-            parallel = getattr(config, "parallel", None)
         if max_resident_tiles is None:
             max_resident_tiles = getattr(config, "max_resident_tiles", None)
         if max_resident_bytes is None:
@@ -1100,10 +1060,6 @@ def kernel_for_instance(
             spill_dir = getattr(config, "spill_dir", None)
         if spill_mode is None:
             spill_mode = getattr(config, "spill_mode", None)
-        if max_warm_pools is None:
-            max_warm_pools = getattr(config, "max_warm_pools", None)
-        if warm_pool_ttl is None:
-            warm_pool_ttl = getattr(config, "warm_pool_ttl", None)
         sketch_columns = getattr(config, "sketch_columns", None)
         landmarks = getattr(config, "landmarks", None)
     objective = instance.objective
@@ -1122,13 +1078,10 @@ def kernel_for_instance(
         storage=storage,
         dtype=dtype,
         workers=workers,
-        parallel=parallel,
         max_resident_tiles=max_resident_tiles,
         max_resident_bytes=max_resident_bytes,
         spill_dir=spill_dir,
         spill_mode=spill_mode,
-        max_warm_pools=max_warm_pools,
-        warm_pool_ttl=warm_pool_ttl,
         sketch_columns=sketch_columns,
         landmarks=landmarks,
     )

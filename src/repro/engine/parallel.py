@@ -1,98 +1,85 @@
-"""Process-pool kernel builds: true multicore tile scoring.
+"""Multicore block builds: one fan-out per backend.
 
-The ``workers=`` thread pool in :class:`~repro.engine.storage.TiledStorage`
-only wins when provider blocks release the GIL (NumPy inner kernels); a
-pure-Python provider — or the Python-side feature assembly around a
-vectorized one — serializes on the interpreter lock and measures ≈1.0×.
-This module is the escape hatch: ship the scoring *snapshot* (provider +
-answer rows) to a ``ProcessPoolExecutor`` once, fan independent tile
-builds across cores, and return each scored block to the parent
+``workers`` is the only parallelism knob.  :func:`build_blocks` — the
+one entry point :class:`~repro.engine.storage.TiledStorage` and
+:class:`~repro.engine.storage.SketchedStorage` build through — derives
+*how* independent block builds spread from the kernel backend:
 
-* through one ``multiprocessing.shared_memory`` segment per batch on the
-  NumPy backend (workers write float64 blocks at precomputed offsets;
-  the parent copies tiles out and unlinks the segment — no pickling of
-  matrix data), or
-* as pickled nested float lists on the pure-Python backend (floats
-  round-trip pickle exactly, so tiles stay bit-identical).
-
-Capability negotiation: a snapshot qualifies only if it pickles —
-:func:`supports_process_pool` is the cheap probe, and
-:meth:`ProcessTileBuilder.create` is the authoritative gate (it returns
-``None`` instead of a builder when the full payload fails to pickle, and
-callers degrade to the thread pool).  Closure-based scalar providers
-therefore keep working exactly as before; module-level workload
-providers (:mod:`repro.workloads`) and
-:class:`~repro.core.providers.FeatureSpaceProvider` with named metrics
-take the process path.
+* **NumPy → threads.**  The vectorized block kernels release the GIL,
+  so a thread pool scales; shipping the snapshot to worker processes
+  and copying blocks back never beats it.
+* **Pure Python → a warm process pool.**  The interpreter lock
+  serializes threads there, so only processes scale.  The scoring
+  *snapshot* (provider + answer rows) ships to a ``ProcessPoolExecutor``
+  once, and scored blocks come back as pickled nested float lists
+  (floats round-trip pickle exactly, so tiles stay bit-identical).
+* **Serial** when ``workers`` resolves to 1, when the snapshot does not
+  pickle (closure-based scalar callables), or when the pool breaks — a
+  worker that dies or cannot bootstrap.  A broken pool is counted as
+  ``pool_failures`` in :meth:`WarmPoolRegistry.stats` (and so in the
+  service ``/stats`` under ``warm_pools``), and the blocks it did not
+  deliver are built serially.
 
 Exactness contract: a worker reproduces
 ``ScoringKernel._build_distance_block`` operation for operation — tuple
 slices of the same answer snapshot, ``rows_a is rows_b`` identity for
 diagonal blocks (providers score the triangle once), the same
-``distance_block`` call — so a process-built tile holds the same floats
-a serial build would, before the storage layer even narrows it.
+``distance_block`` call — so every fan-out stores the floats a serial
+build would.
 
 **Warm pools**: repeated builds over the *same* snapshot (λ/k sweeps,
 TTL-cache misses re-materializing a kernel, sketched landmark columns
-after the tiled grid) used to pay the fork + initializer cost every
-time.  :class:`WarmPoolRegistry` keeps executors alive between builds,
-keyed on the digest of the pickled snapshot payload — the same bytes
-the initializer ships — so "same digest" *is* "workers hold exactly
-this snapshot", and a patched kernel (new answers → new payload → new
-digest) can never hit a stale pool.  The registry is LRU-bounded
-(``max_warm_pools``), idle pools expire after ``warm_pool_ttl``
-seconds, and :meth:`WarmPoolRegistry.invalidate` /
-:meth:`WarmPoolRegistry.clear` drop pools eagerly on ``apply_delta`` /
-engine reset.  A digest miss (or ``max_warm_pools=0``) falls back to
-the per-build pool exactly as before.
+after the tiled grid) would otherwise pay the spawn + initializer cost
+every time.  :class:`WarmPoolRegistry` keeps executors alive between
+builds, keyed on the digest of the pickled snapshot payload — the same
+bytes the initializer ships — so "same digest" *is* "workers hold
+exactly this snapshot", and a patched kernel (new answers → new payload
+→ new digest) can never hit a stale pool.  The registry keeps at most
+:data:`DEFAULT_MAX_WARM_POOLS` pools, idle pools expire after
+:data:`DEFAULT_WARM_POOL_TTL` seconds, and
+:meth:`WarmPoolRegistry.invalidate` / :meth:`WarmPoolRegistry.clear`
+drop pools eagerly on ``apply_delta`` / engine reset.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
+import multiprocessing
 import os
 import pickle
 import threading
 import time
 from collections import OrderedDict
-import multiprocessing
+from collections.abc import Callable
 from concurrent.futures import (
     FIRST_COMPLETED,
+    BrokenExecutor,
     ProcessPoolExecutor,
+    ThreadPoolExecutor,
     wait,
 )
-from multiprocessing import shared_memory
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI cells
-    _np = None
 
 __all__ = [
-    "PARALLEL_MODES",
     "DEFAULT_MAX_WARM_POOLS",
     "DEFAULT_WARM_POOL_TTL",
     "available_cpus",
     "validate_workers",
     "resolve_workers",
-    "validate_parallel",
-    "supports_process_pool",
+    "build_blocks",
     "ProcessTileBuilder",
     "WarmPoolRegistry",
     "warm_pool_registry",
-    "acquire_tile_builder",
 ]
 
-#: Recognized ``parallel=`` spellings: how a multi-worker build fans out.
-PARALLEL_MODES = ("thread", "process")
+_LOG = logging.getLogger(__name__)
 
-#: Upper bound on tiles per worker task (amortizes IPC without starving
+#: Upper bound on blocks per worker task (amortizes IPC without starving
 #: the pool of work items on small grids).
 _MAX_BATCH_TILES = 16
 
-#: Warm pools kept alive process-wide (LRU; ``0`` disables warm pooling
-#: and every build creates/tears down its own pool as before).
+#: Warm pools kept alive process-wide (LRU).
 DEFAULT_MAX_WARM_POOLS = 4
 
 #: Seconds an unleased warm pool may sit idle before it is shut down.
@@ -154,33 +141,88 @@ def resolve_workers(workers) -> int:
     return int(workers)
 
 
-def validate_parallel(parallel, error=ValueError) -> str:
-    """Validate a ``parallel`` mode knob (``None`` means ``"thread"``)."""
-    if parallel is None:
-        return "thread"
-    if parallel not in PARALLEL_MODES:
-        raise error(
-            f"unknown parallel mode {parallel!r}; choose one of {PARALLEL_MODES}"
-        )
-    return parallel
+# -- the fan-out --------------------------------------------------------------
 
 
-def supports_process_pool(provider, answers=()) -> bool:
-    """Can this scoring snapshot ship to worker processes?
+def build_blocks(
+    jobs: list,
+    build: Callable,
+    store: Callable,
+    workers,
+    use_numpy: bool,
+    pool_source: Callable[[], tuple] | None = None,
+    prime: Callable | None = None,
+) -> None:
+    """Build every job, fanned out the one way the backend allows.
 
-    A cheap capability probe: the provider plus a few sample rows must
-    pickle.  :meth:`ProcessTileBuilder.create` re-checks the full payload
-    (the probe can pass while an exotic row deep in the snapshot fails),
-    so callers treating ``True`` as a hint and ``create() is None`` as
-    the verdict degrade gracefully either way.
+    ``jobs`` is a list of ``(key, spec)`` pairs.  ``build(spec)`` scores
+    one block in this process and returns the raw provider block;
+    ``store(key, block)`` receives every block on the *calling* thread,
+    so storage writes stay single-threaded whatever the fan-out.
+    ``spec`` is the worker form of the same block: ``("tile", a0, a1,
+    b0, b1)`` or ``("cols", a0, a1, landmark_positions)``.
+
+    NumPy builds go through a thread pool (jobs matching ``prime`` are
+    built serially first, so per-row provider caches warm without
+    threads racing to fill them); pure-Python builds go through a warm
+    process pool over the ``pool_source()`` snapshot.  Everything else
+    — one worker, one job, no or an unpicklable snapshot, a broken pool
+    — builds serially, in ``jobs`` order.
     """
+    workers = resolve_workers(workers)
+    if workers > 1 and len(jobs) > 1:
+        if use_numpy:
+            _build_threaded(jobs, build, store, workers, prime)
+            return
+        if pool_source is not None:
+            jobs = _build_pooled(jobs, store, workers, pool_source)
+    for key, spec in jobs:
+        store(key, build(spec))
+
+
+def _build_threaded(jobs, build, store, workers: int, prime) -> None:
+    if prime is not None:
+        for key, spec in jobs:
+            if prime(key):
+                store(key, build(spec))
+        jobs = [job for job in jobs if not prime(job[0])]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for (key, _spec), block in zip(jobs, pool.map(lambda job: build(job[1]), jobs)):
+            store(key, block)
+
+
+def _build_pooled(jobs, store, workers: int, pool_source) -> list:
+    """Score ``jobs`` in a warm process pool; returns the jobs left for
+    the serial path — all of them when the snapshot cannot pickle, the
+    undelivered rest when the pool breaks or cannot start, none on
+    success."""
+    registry = warm_pool_registry()
+    provider, answers = pool_source()
+    stored = set()
+
+    def keep(key, block) -> None:
+        store(key, block)
+        stored.add(key)
+
     try:
-        pickle.dumps(
-            (provider, tuple(answers)[:4]), protocol=pickle.HIGHEST_PROTOCOL
+        pool = registry.acquire(provider, answers, workers)
+        if pool is None:
+            return jobs
+        try:
+            pool.build(jobs, keep)
+        finally:
+            pool.close()
+    except (BrokenExecutor, OSError) as exc:
+        registry.record_failure()
+        _LOG.warning(
+            "process pool failed (%s: %s); building %d of %d blocks serially",
+            type(exc).__name__,
+            exc,
+            len(jobs) - len(stored),
+            len(jobs),
         )
-    except Exception:
-        return False
-    return True
+        return [job for job in jobs if job[0] not in stored]
+    return []
 
 
 # -- worker side ------------------------------------------------------------
@@ -203,7 +245,7 @@ def _worker_score(spec):
     mirrors the sketched-storage columns builder (row block × landmark
     rows).
     """
-    provider, answers, use_numpy = _WORKER_STATE
+    provider, answers = _WORKER_STATE
     if spec[0] == "cols":
         _, a0, a1, cols = spec
         rows_a = answers[a0:a1]
@@ -212,49 +254,12 @@ def _worker_score(spec):
         _, a0, a1, b0, b1 = spec
         rows_a = answers[a0:a1]
         rows_b = rows_a if (a0, a1) == (b0, b1) else answers[b0:b1]
-    return provider.distance_block(rows_a, rows_b, use_numpy=use_numpy)
+    return provider.distance_block(rows_a, rows_b, use_numpy=False)
 
 
-def _spec_shape(spec) -> tuple[int, int]:
-    if spec[0] == "cols":
-        return spec[2] - spec[1], len(spec[3])
-    return spec[2] - spec[1], spec[4] - spec[3]
-
-
-def _attach_shm(name: str):
-    """Attach to a parent-owned segment, avoiding double bookkeeping
-    with the resource tracker where the API allows it.
-
-    3.13+ supports ``track=False``; earlier Pythons register the name on
-    attach unconditionally.  That duplicate register is harmless — the
-    tracker cache is a set, and the parent's ``unlink()`` unregisters
-    the name exactly once — whereas unregistering here would race the
-    parent's unlink and spray KeyError tracebacks from the tracker.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13
-        return shared_memory.SharedMemory(name=name)
-
-
-def _score_specs_shm(shm_name: str, jobs) -> None:
-    """Score a batch of specs, writing float64 blocks into the shared
-    segment at the parent-assigned offsets (NumPy backend only)."""
-    shm = _attach_shm(shm_name)
-    try:
-        for offset, spec in jobs:
-            block = _np.asarray(_worker_score(spec), dtype=_np.float64)
-            view = _np.ndarray(
-                block.shape, dtype=_np.float64, buffer=shm.buf, offset=offset
-            )
-            view[...] = block
-    finally:
-        shm.close()
-
-
-def _score_specs_pickled(specs) -> list:
-    """Score a batch of specs, returning the raw provider blocks (nested
-    float lists on the pure-Python backend; pickled on the way back)."""
+def _score_specs(specs) -> list:
+    """Score a batch of specs (nested float lists, pickled on the way
+    back)."""
     return [_worker_score(spec) for spec in specs]
 
 
@@ -262,49 +267,22 @@ def _score_specs_pickled(specs) -> list:
 
 
 class ProcessTileBuilder:
-    """One process pool bound to one scoring snapshot.
+    """One process pool bound to one scoring snapshot, leased from
+    :class:`WarmPoolRegistry`.
 
-    Create via :meth:`create` (returns ``None`` when the snapshot cannot
-    be pickled — the caller's cue to degrade to threads), feed it block
-    jobs via :meth:`build`, and :meth:`close` it when the build is done.
-    A builder created directly owns its pool and :meth:`close` shuts it
-    down; a builder leased from :class:`WarmPoolRegistry` carries a
-    ``release`` callback instead, so :meth:`close` hands the still-warm
-    executor back to the registry.  Staleness is impossible either way:
-    the snapshot is pinned at pool creation, and warm reuse is keyed on
-    the digest of those exact payload bytes.
+    Feed it block jobs via :meth:`build` and :meth:`close` it when the
+    build is done.  A warm lease carries a ``release`` callback, so
+    :meth:`close` hands the still-warm executor back to the registry; a
+    one-shot (cold) builder owns its pool and :meth:`close` shuts it
+    down.  Staleness is impossible either way: the snapshot is pinned at
+    pool creation, and warm reuse is keyed on the digest of those exact
+    payload bytes.
     """
 
-    def __init__(
-        self,
-        executor: ProcessPoolExecutor,
-        use_numpy: bool,
-        workers: int,
-        release=None,
-    ):
+    def __init__(self, executor: ProcessPoolExecutor, workers: int, release=None):
         self._executor = executor
         self._release = release
-        self.use_numpy = use_numpy
         self.workers = workers
-
-    @classmethod
-    def create(
-        cls, provider, answers, use_numpy: bool, workers: int
-    ) -> "ProcessTileBuilder | None":
-        """A builder for the snapshot, or ``None`` if it cannot ship.
-
-        The payload is pickled *here*, in the parent, so unpicklable
-        providers fail fast and deterministically instead of surfacing
-        as a ``BrokenProcessPool`` from the first worker.
-        """
-        try:
-            payload = pickle.dumps(
-                (provider, tuple(answers), use_numpy),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:
-            return None
-        return cls(_make_executor(payload, workers), use_numpy, workers)
 
     def close(self) -> None:
         """Finish with the pool: shut an owned one down, lease a warm
@@ -315,94 +293,30 @@ class ProcessTileBuilder:
         else:
             self._executor.shutdown(wait=True, cancel_futures=True)
 
-    def __enter__(self) -> "ProcessTileBuilder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- orchestration -----------------------------------------------------
-
-    def _batches(self, jobs: list) -> list[list]:
+    def build(self, jobs, store) -> None:
+        """Score every ``(key, spec)`` job, calling ``store(key, block)``
+        in *this* thread as results land.  In-flight work is bounded to
+        a few batches so a memory-budgeted storage never sees O(n²)
+        transient allocation."""
+        jobs = list(jobs)
         per = max(1, math.ceil(len(jobs) / (self.workers * 4)))
         per = min(per, _MAX_BATCH_TILES)
-        return [jobs[i : i + per] for i in range(0, len(jobs), per)]
-
-    def build(self, jobs, store) -> None:
-        """Score every job, calling ``store(key, block)`` in *this*
-        thread as results land (storage dict writes stay single-threaded,
-        exactly like the thread-pool path).
-
-        ``jobs`` is a sequence of ``(key, spec)`` pairs; ``block`` is a
-        fresh float64 array (NumPy backend) or the provider's nested
-        float lists (pure-Python backend).  In-flight work is bounded to
-        a few batches so a memory-budgeted storage never sees O(n²)
-        transient allocation.
-        """
-        batches = self._batches(list(jobs))
-        if self.use_numpy:
-            self._run_shm(batches, store)
-        else:
-            self._run_pickled(batches, store)
-
-    def _run_shm(self, batches, store) -> None:
         inflight: dict = {}
-        max_inflight = self.workers + 2
         try:
-            for batch in batches:
-                offset = 0
-                specs = []
-                for _key, spec in batch:
-                    rows, cols = _spec_shape(spec)
-                    specs.append((offset, spec))
-                    offset += rows * cols * 8
-                shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-                future = self._executor.submit(_score_specs_shm, shm.name, specs)
-                inflight[future] = (shm, batch, specs)
-                if len(inflight) >= max_inflight:
-                    self._drain_shm(inflight, store)
-            while inflight:
-                self._drain_shm(inflight, store)
-        finally:
-            for future, (shm, _batch, _specs) in inflight.items():
-                future.cancel()
-                shm.close()
-                shm.unlink()
-
-    def _drain_shm(self, inflight, store) -> None:
-        done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-        for future in done:
-            shm, batch, specs = inflight.pop(future)
-            try:
-                future.result()  # surface worker errors before reading
-                for (key, spec), (offset, _spec) in zip(batch, specs):
-                    view = _np.ndarray(
-                        _spec_shape(spec),
-                        dtype=_np.float64,
-                        buffer=shm.buf,
-                        offset=offset,
-                    )
-                    store(key, view.copy())
-            finally:
-                shm.close()
-                shm.unlink()
-
-    def _run_pickled(self, batches, store) -> None:
-        inflight: dict = {}
-        max_inflight = self.workers + 2
-        try:
-            for batch in batches:
+            for i in range(0, len(jobs), per):
+                batch = jobs[i : i + per]
                 specs = [spec for _key, spec in batch]
-                inflight[self._executor.submit(_score_specs_pickled, specs)] = batch
-                if len(inflight) >= max_inflight:
-                    self._drain_pickled(inflight, store)
+                inflight[self._executor.submit(_score_specs, specs)] = batch
+                if len(inflight) >= self.workers + 2:
+                    self._drain(inflight, store)
             while inflight:
-                self._drain_pickled(inflight, store)
+                self._drain(inflight, store)
         finally:
             for future in inflight:
                 future.cancel()
 
-    def _drain_pickled(self, inflight, store) -> None:
+    @staticmethod
+    def _drain(inflight, store) -> None:
         done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
         for future in done:
             batch = inflight.pop(future)
@@ -431,20 +345,21 @@ class WarmPoolRegistry:
     on ``(snapshot-payload digest, workers)``.
 
     The digest is taken over the *pickled initializer payload* —
-    ``(provider, answers, use_numpy)`` — so a hit guarantees the warm
-    workers hold byte-for-byte the snapshot this build would have
-    shipped, and the floats they score are exactly the cold-pool floats.
-    ``apply_delta`` produces a new answers tuple, hence new payload
-    bytes, hence a digest miss: stale reuse cannot happen even without
-    the explicit :meth:`invalidate` hook (which exists to free the dead
-    pool's processes eagerly rather than waiting out LRU/TTL).
+    ``(provider, answers)`` — so a hit guarantees the warm workers hold
+    byte-for-byte the snapshot this build would have shipped, and the
+    floats they score are exactly the cold-pool floats.  ``apply_delta``
+    produces a new answers tuple, hence new payload bytes, hence a
+    digest miss: stale reuse cannot happen even without the explicit
+    :meth:`invalidate` hook (which exists to free the dead pool's
+    processes eagerly rather than waiting out LRU/TTL).
 
     Concurrency: one lease per pool at a time.  A second concurrent
     build over the same snapshot gets a cold per-build pool (counted as
     a ``bypass``) rather than contending for the warm executor; pools
     evicted or invalidated while leased are shut down when the lease is
     released.  Broken executors (a killed worker) are discarded on
-    release instead of being re-warmed.
+    release instead of being re-warmed.  ``max_pools=0`` turns every
+    acquire into a cold per-build pool.
     """
 
     def __init__(
@@ -465,6 +380,7 @@ class WarmPoolRegistry:
             "evictions": 0,
             "expirations": 0,
             "invalidations": 0,
+            "pool_failures": 0,
         }
 
     # -- internals ---------------------------------------------------------
@@ -474,17 +390,17 @@ class WarmPoolRegistry:
         for executor in executors:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _reap_locked(self, ttl: float, doomed: list) -> None:
+    def _reap_locked(self, doomed: list) -> None:
         now = self._clock()
         for key in list(self._pools):
             entry = self._pools[key]
-            if not entry.leased and now - entry.last_used > ttl:
+            if not entry.leased and now - entry.last_used > self.ttl:
                 del self._pools[key]
                 doomed.append(entry.executor)
                 self._counters["expirations"] += 1
 
-    def _evict_over_budget_locked(self, limit: int, doomed: list) -> None:
-        while len(self._pools) > limit:
+    def _evict_over_budget_locked(self, doomed: list) -> None:
+        while len(self._pools) > self.max_pools:
             victim = next(
                 (k for k, e in self._pools.items() if not e.leased), None
             )
@@ -510,48 +426,37 @@ class WarmPoolRegistry:
 
     # -- the public surface ------------------------------------------------
 
-    def acquire(
-        self,
-        provider,
-        answers,
-        use_numpy: bool,
-        workers: int,
-        max_pools: int | None = None,
-        ttl: float | None = None,
-    ) -> "ProcessTileBuilder | None":
+    def acquire(self, provider, answers, workers: int) -> "ProcessTileBuilder | None":
         """A builder whose workers hold this snapshot: leased warm on a
         digest hit, freshly created (and registered for next time) on a
-        miss, or ``None`` when the snapshot cannot pickle.
+        miss, or ``None`` when the snapshot cannot pickle — the one
+        capability gate for process builds.
 
-        ``max_pools`` / ``ttl`` override the registry defaults for this
-        call — the engine threads its ``max_warm_pools`` /
-        ``warm_pool_ttl`` knobs through here; ``max_pools=0`` bypasses
-        warm pooling entirely (a plain per-build pool, PR-9 semantics).
+        The payload is pickled *here*, in the parent, so unpicklable
+        providers fail fast and deterministically instead of surfacing
+        as a ``BrokenProcessPool`` from the first worker.
         """
         try:
             payload = pickle.dumps(
-                (provider, tuple(answers), use_numpy),
-                protocol=pickle.HIGHEST_PROTOCOL,
+                (provider, tuple(answers)), protocol=pickle.HIGHEST_PROTOCOL
             )
         except Exception:
             return None
-        limit = self.max_pools if max_pools is None else max_pools
-        idle_ttl = self.ttl if ttl is None else ttl
-        if limit < 1:
+        if self.max_pools < 1:
             with self._lock:
                 self._counters["bypasses"] += 1
-            return self._cold(payload, use_numpy, workers)
+            return ProcessTileBuilder(_make_executor(payload, workers), workers)
         key = (hashlib.blake2b(payload, digest_size=16).digest(), workers)
         doomed: list = []
-        builder = bypass = False
+        builder = None
+        bypass = False
         with self._lock:
-            self._reap_locked(idle_ttl, doomed)
+            self._reap_locked(doomed)
             entry = self._pools.get(key)
             if entry is not None and not entry.leased:
                 if getattr(entry.executor, "_broken", False):
                     del self._pools[key]
                     doomed.append(entry.executor)
-                    entry = None
                 else:
                     entry.leased = True
                     entry.last_used = self._clock()
@@ -559,7 +464,6 @@ class WarmPoolRegistry:
                     self._counters["hits"] += 1
                     builder = ProcessTileBuilder(
                         entry.executor,
-                        use_numpy,
                         workers,
                         release=lambda k=key, e=entry: self._release(k, e),
                     )
@@ -567,11 +471,11 @@ class WarmPoolRegistry:
                 self._counters["bypasses"] += 1
                 bypass = True
         self._shutdown_all(doomed)
-        if builder:
+        if builder is not None:
             return builder
-        if bypass:
-            return self._cold(payload, use_numpy, workers)
         executor = _make_executor(payload, workers)
+        if bypass:
+            return ProcessTileBuilder(executor, workers)
         entry = _WarmPool(executor, id(provider), self._clock())
         doomed = []
         with self._lock:
@@ -582,16 +486,15 @@ class WarmPoolRegistry:
             else:
                 self._counters["misses"] += 1
                 self._pools[key] = entry
-                self._evict_over_budget_locked(limit, doomed)
+                self._evict_over_budget_locked(doomed)
                 release = lambda k=key, e=entry: self._release(k, e)  # noqa: E731
         self._shutdown_all(doomed)
-        return ProcessTileBuilder(executor, use_numpy, workers, release=release)
+        return ProcessTileBuilder(executor, workers, release=release)
 
-    @staticmethod
-    def _cold(payload: bytes, use_numpy: bool, workers: int) -> ProcessTileBuilder:
-        return ProcessTileBuilder(
-            _make_executor(payload, workers), use_numpy, workers
-        )
+    def record_failure(self) -> None:
+        """Count one build whose pool broke (its blocks went serial)."""
+        with self._lock:
+            self._counters["pool_failures"] += 1
 
     def invalidate(self, provider) -> int:
         """Drop every pool whose snapshot was built around ``provider``
@@ -625,11 +528,11 @@ class WarmPoolRegistry:
                 self._counters["invalidations"] += 1
         self._shutdown_all(doomed)
 
-    def reap(self, ttl: float | None = None) -> None:
+    def reap(self) -> None:
         """Expire idle pools now (also runs inside every acquire)."""
         doomed: list = []
         with self._lock:
-            self._reap_locked(self.ttl if ttl is None else ttl, doomed)
+            self._reap_locked(doomed)
         self._shutdown_all(doomed)
 
     def stats(self) -> dict[str, int]:
@@ -656,24 +559,3 @@ def warm_pool_registry() -> WarmPoolRegistry:
             if _REGISTRY is None:
                 _REGISTRY = WarmPoolRegistry()
     return _REGISTRY
-
-
-def acquire_tile_builder(
-    provider,
-    answers,
-    use_numpy: bool,
-    workers: int,
-    max_warm_pools: int | None = None,
-    warm_pool_ttl: float | None = None,
-) -> "ProcessTileBuilder | None":
-    """The storage layer's one entry point for a process-pool builder:
-    warm when the process-wide registry has this snapshot, cold
-    otherwise, ``None`` when it cannot pickle (degrade to threads)."""
-    return warm_pool_registry().acquire(
-        provider,
-        answers,
-        use_numpy,
-        workers,
-        max_pools=max_warm_pools,
-        ttl=warm_pool_ttl,
-    )

@@ -16,11 +16,12 @@ that seam: a :class:`KernelStorage` contract plus two implementations.
   reads only some rows never pays for the rest), only on-or-above the
   diagonal (below-diagonal tiles are transpose mirrors — views on the
   NumPy backend, so they cost no memory), optionally **in parallel**
-  (:meth:`TiledStorage.ensure_all` maps independent tile builds over a
-  thread pool; NumPy releases the GIL inside the vectorized block
-  kernels), and optionally **narrowed** to float32 (``dtype="float32"``
-  halves storage; every read widens back to float64 so reductions and
-  selector arithmetic stay in double precision).
+  (:meth:`TiledStorage.ensure_all` fans independent tile builds out
+  through :func:`~repro.engine.parallel.build_blocks`: threads on NumPy,
+  a warm process pool on pure Python), and optionally **narrowed** to
+  float32 (``dtype="float32"`` halves storage; every read widens back
+  to float64 so reductions and selector arithmetic stay in double
+  precision).
 
 Exactness contract: with ``dtype="float64"`` a tiled matrix is
 element-wise identical to the dense one — tiles are filled from the same
@@ -50,15 +51,8 @@ import tempfile
 import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 
-from .parallel import (
-    PARALLEL_MODES,
-    acquire_tile_builder,
-    resolve_workers,
-    validate_parallel,
-    validate_workers,
-)
+from .parallel import build_blocks, validate_workers
 
 try:
     import numpy as _np
@@ -74,7 +68,6 @@ __all__ = [
     "STORAGE_KINDS",
     "STORAGE_DTYPES",
     "SPILL_MODES",
-    "PARALLEL_MODES",
     "make_storage",
 ]
 
@@ -394,10 +387,9 @@ class TiledStorage(KernelStorage):
     backend float32 values are emulated by round-tripping each float
     through IEEE binary32, so both backends store the same numbers.
     ``workers`` > 1 (or ``"auto"``) parallelizes :meth:`ensure_all` over
-    a pool of independent tile builds — a thread pool by default, or a
-    process pool (``parallel="process"``) when the scoring snapshot is
-    picklable (see :mod:`repro.engine.parallel`; unpicklable snapshots
-    degrade to threads transparently).
+    independent tile builds — threads on NumPy, a warm process pool on
+    pure Python when the ``pool_source`` snapshot pickles, serial
+    otherwise (see :func:`~repro.engine.parallel.build_blocks`).
 
     **Tile spilling** bounds resident memory below O(n²): with
     ``max_resident_tiles`` and/or ``max_resident_bytes`` set, built upper
@@ -427,13 +419,10 @@ class TiledStorage(KernelStorage):
         "dtype",
         "block_size",
         "workers",
-        "parallel",
         "max_resident_tiles",
         "max_resident_bytes",
         "spill_dir",
         "spill_mode",
-        "max_warm_pools",
-        "warm_pool_ttl",
         "_builder",
         "_pool_source",
         "_nb",
@@ -460,13 +449,10 @@ class TiledStorage(KernelStorage):
         block_size: int,
         dtype: str = "float64",
         workers: "int | str | None" = None,
-        parallel: str | None = None,
         max_resident_tiles: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
         spill_mode: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
         pool_source: Callable[[], tuple] | None = None,
     ):
         if dtype not in STORAGE_DTYPES:
@@ -495,13 +481,10 @@ class TiledStorage(KernelStorage):
         self.dtype = dtype
         self.block_size = block_size
         self.workers = validate_workers(workers, StorageError)
-        self.parallel = validate_parallel(parallel, StorageError)
         self.max_resident_tiles = max_resident_tiles
         self.max_resident_bytes = max_resident_bytes
         self.spill_dir = spill_dir
         self.spill_mode = spill_mode or "file"
-        self.max_warm_pools = max_warm_pools
-        self.warm_pool_ttl = warm_pool_ttl
         self._builder = builder
         self._pool_source = pool_source
         self._nb = -(-n // block_size) if n else 0
@@ -807,82 +790,26 @@ class TiledStorage(KernelStorage):
         return len(self._built_upper) >= self.total_tiles
 
     def ensure_all(self) -> None:
-        pending = [
-            (bi, bj)
-            for bi in range(self._nb)
-            for bj in range(bi, self._nb)
-            if (bi, bj) not in self._built_upper
-        ]
-        if not pending:
-            return
-        workers = resolve_workers(self.workers)
-        if (
-            workers > 1
-            and len(pending) > 1
-            and self.parallel == "process"
-            and self._pool_source is not None
-            and self._ensure_all_process(pending, workers)
-        ):
-            return
-        if workers > 1 and len(pending) > 1:
-            # Diagonal tiles first, serially: they touch every row range
-            # once, so providers with per-row caches (feature vectors)
-            # warm them without worker threads racing to duplicate the
-            # GIL-bound cache fills.  The off-diagonal bulk — the
-            # GIL-releasing vectorized block kernels — then fans out
-            # over the pool; tile builds are independent and the dict
-            # writes all happen on this thread.
-            diagonal = [c for c in pending if c[0] == c[1]]
-            for bi, bj in diagonal:
-                self._store_upper(bi, bj, self._build_upper(bi, bj))
-            rest = [c for c in pending if c[0] != c[1]]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for (bi, bj), tile in zip(
-                    rest, pool.map(lambda c: self._build_upper(*c), rest)
-                ):
-                    self._store_upper(bi, bj, tile)
-        else:
-            for bi, bj in pending:
-                self._store_upper(bi, bj, self._build_upper(bi, bj))
-
-    def _ensure_all_process(self, pending, workers: int) -> bool:
-        """Fan the pending tile builds over a process pool.
-
-        Returns False — leaving every pending tile untouched — when the
-        scoring snapshot cannot ship to workers (unpicklable provider or
-        rows), so the caller degrades to the thread path.  Raw float64
-        blocks come back through shared memory (NumPy) or pickled lists
-        (pure Python) and are narrowed/stored here, on the calling
-        thread, exactly as a serial build would narrow them.  The pool
-        itself comes from the warm registry: a digest hit skips the
-        fork + initializer cost, and ``close()`` leases it back warm.
-        """
-        provider, answers = self._pool_source()
-        builder = acquire_tile_builder(
-            provider,
-            answers,
-            self.backend == "numpy",
-            workers,
-            max_warm_pools=self.max_warm_pools,
-            warm_pool_ttl=self.warm_pool_ttl,
-        )
-        if builder is None:
-            return False
         jobs = []
-        for bi, bj in pending:
+        for bi in range(self._nb):
             a0, a1 = self._bounds(bi)
-            b0, b1 = self._bounds(bj)
-            jobs.append(((bi, bj), ("tile", a0, a1, b0, b1)))
-        try:
-            builder.build(
-                jobs,
-                lambda key, block: self._store_upper(
-                    key[0], key[1], self._narrow(block)
-                ),
-            )
-        finally:
-            builder.close()
-        return True
+            for bj in range(bi, self._nb):
+                if (bi, bj) not in self._built_upper:
+                    b0, b1 = self._bounds(bj)
+                    jobs.append(((bi, bj), ("tile", a0, a1, b0, b1)))
+        # Diagonal tiles prime a threaded build: they touch every row
+        # range once, so providers with per-row caches (feature vectors)
+        # warm them without threads racing to duplicate the GIL-bound
+        # cache fills.  Every block is narrowed and stored on this thread.
+        build_blocks(
+            jobs,
+            lambda spec: self._builder(*spec[1:]),
+            lambda key, block: self._store_upper(*key, self._narrow(block)),
+            self.workers,
+            self.backend == "numpy",
+            pool_source=self._pool_source,
+            prime=lambda key: key[0] == key[1],
+        )
 
     # -- reads ------------------------------------------------------------
 
@@ -988,13 +915,10 @@ class TiledStorage(KernelStorage):
             self.block_size,
             dtype=self.dtype,
             workers=self.workers,
-            parallel=self.parallel,
             max_resident_tiles=self.max_resident_tiles,
             max_resident_bytes=self.max_resident_bytes,
             spill_dir=self.spill_dir,
             spill_mode=self.spill_mode,
-            max_warm_pools=self.max_warm_pools,
-            warm_pool_ttl=self.warm_pool_ttl,
             pool_source=self._pool_source,
         )
         if not self.is_fully_built:
@@ -1090,7 +1014,7 @@ class TiledStorage(KernelStorage):
         return (
             f"TiledStorage(n={self.n}, backend={self.backend}, dtype={self.dtype}, "
             f"block={self.block_size}, tiles={self.tiles_built}/{self.total_tiles}, "
-            f"workers={self.workers or 1}, parallel={self.parallel})"
+            f"workers={self.workers or 1})"
         )
 
 
@@ -1158,9 +1082,6 @@ class SketchedStorage:
         block_size: int,
         strategy: str,
         workers: "int | str | None" = None,
-        parallel: str | None = None,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
         pool_source: Callable[[], tuple] | None = None,
     ) -> "SketchedStorage":
         """Score the n×m landmark columns in row blocks.
@@ -1168,14 +1089,13 @@ class SketchedStorage:
         ``columns_builder(a0, a1, landmarks)`` returns the provider
         distance block of answer rows ``[a0:a1]`` against the landmark
         rows — the kernel closes it over its snapshot.  ``workers`` > 1
-        fans the independent row blocks over the same pooled builders
-        the tiled grid uses (threads by default; ``parallel="process"``
-        with a picklable ``pool_source`` snapshot ships them across
-        cores) — block values are row-range-local, so assembly order
-        cannot change a float.
+        fans the independent row blocks out exactly like the tiled grid's
+        build (:func:`~repro.engine.parallel.build_blocks`, leasing from
+        the same warm registry, so a sketch built right after the grid
+        reuses its initialized workers) — block values are
+        row-range-local, so assembly order cannot change a float.
         """
         workers = validate_workers(workers, StorageError)
-        parallel = validate_parallel(parallel, StorageError)
         landmarks = list(landmark_positions)
         if len(landmarks) >= n:
             # Clamp m >= n to "every row is a landmark": the sketch then
@@ -1185,81 +1105,24 @@ class SketchedStorage:
         spans = [
             (a0, min(a0 + block_size, n)) for a0 in range(0, n, block_size)
         ]
-        resolved = resolve_workers(workers)
-        blocks: dict[int, object] | None = None
-        if resolved > 1 and len(spans) > 1:
-            blocks = cls._pooled_column_blocks(
-                spans,
-                landmarks,
-                columns_builder,
-                use_numpy,
-                resolved,
-                parallel,
-                pool_source,
-                max_warm_pools=max_warm_pools,
-                warm_pool_ttl=warm_pool_ttl,
-            )
-        if use_numpy:
-            c = _np.empty((n, len(landmarks)), dtype=_np.float64)
-            for a0, a1 in spans:
-                block = (
-                    blocks[a0] if blocks is not None else columns_builder(a0, a1, landmarks)
-                )
+        c = _np.empty((n, len(landmarks)), dtype=_np.float64) if use_numpy else [None] * n
+
+        def store(span, block) -> None:
+            a0, a1 = span
+            if use_numpy:
                 c[a0:a1, :] = _np.asarray(block, dtype=_np.float64)
-        else:
-            c = []
-            for a0, a1 in spans:
-                block = (
-                    blocks[a0] if blocks is not None else columns_builder(a0, a1, landmarks)
-                )
-                for row in block:
-                    c.append([float(v) for v in row])
+            else:
+                c[a0:a1] = [[float(v) for v in row] for row in block]
+
+        build_blocks(
+            [(span, ("cols", *span, tuple(landmarks))) for span in spans],
+            lambda spec: columns_builder(spec[1], spec[2], landmarks),
+            store,
+            workers,
+            use_numpy,
+            pool_source=pool_source,
+        )
         return cls(n, landmarks, c, use_numpy, strategy)
-
-    @staticmethod
-    def _pooled_column_blocks(
-        spans,
-        landmarks,
-        columns_builder,
-        use_numpy: bool,
-        workers: int,
-        parallel: str,
-        pool_source,
-        max_warm_pools: int | None = None,
-        warm_pool_ttl: float | None = None,
-    ) -> dict[int, object]:
-        """Row-block → raw provider block, scored through a pool.
-
-        The process path degrades to threads when the snapshot cannot be
-        pickled, exactly like the tiled grid's build — and leases from
-        the same warm registry, so a sketch built right after the tiled
-        grid (or vice versa) reuses the already-initialized workers.
-        """
-        if parallel == "process" and pool_source is not None:
-            provider, answers = pool_source()
-            pool = acquire_tile_builder(
-                provider,
-                answers,
-                use_numpy,
-                workers,
-                max_warm_pools=max_warm_pools,
-                warm_pool_ttl=warm_pool_ttl,
-            )
-            if pool is not None:
-                out: dict[int, object] = {}
-                jobs = [
-                    (a0, ("cols", a0, a1, tuple(landmarks))) for a0, a1 in spans
-                ]
-                try:
-                    pool.build(jobs, lambda key, block: out.__setitem__(key, block))
-                finally:
-                    pool.close()
-                return out
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda span: columns_builder(span[0], span[1], landmarks), spans
-            )
-            return {a0: block for (a0, _a1), block in zip(spans, results)}
 
     # -- shape ------------------------------------------------------------
 
@@ -1376,21 +1239,18 @@ def make_storage(
     block_size: int,
     dtype: str = "float64",
     workers: "int | str | None" = None,
-    parallel: str | None = None,
     max_resident_tiles: int | None = None,
     max_resident_bytes: int | None = None,
     spill_dir: str | None = None,
     spill_mode: str | None = None,
-    max_warm_pools: int | None = None,
-    warm_pool_ttl: float | None = None,
     pool_source: Callable[[], tuple] | None = None,
 ) -> KernelStorage:
     """The storage object behind one kernel's distance matrix.
 
     ``dense`` is eager, contiguous, float64-only (the historical layout
     and the parity baseline); ``tiled`` is lazy, blocked, dtype-aware,
-    optionally parallel (threads or processes) and optionally
-    memory-bounded (LRU tile budget + spill directory).  The float32 and
+    optionally parallel (``workers``) and optionally memory-bounded
+    (LRU tile budget + spill directory).  The float32 and
     multicore/spilling knobs are deliberately rejected for dense storage:
     they only pay when the matrix no longer has to exist as one
     allocation, and keeping dense plain float64 preserves it as the
@@ -1413,7 +1273,6 @@ def make_storage(
             f"unknown storage dtype {dtype!r}; choose one of {STORAGE_DTYPES}"
         )
     workers = validate_workers(workers, StorageError)
-    parallel = validate_parallel(parallel, StorageError)
     if kind == "dense":
         if dtype != "float64":
             raise StorageError(
@@ -1424,11 +1283,6 @@ def make_storage(
             raise StorageError(
                 "dense storage builds serially; use storage='tiled' for "
                 f"workers={workers}"
-            )
-        if parallel == "process":
-            raise StorageError(
-                "dense storage builds serially; use storage='tiled' for "
-                "parallel='process'"
             )
         if (
             max_resident_tiles is not None
@@ -1449,12 +1303,9 @@ def make_storage(
         block_size,
         dtype=dtype,
         workers=workers,
-        parallel=parallel,
         max_resident_tiles=max_resident_tiles,
         max_resident_bytes=max_resident_bytes,
         spill_dir=spill_dir,
         spill_mode=spill_mode,
-        max_warm_pools=max_warm_pools,
-        warm_pool_ttl=warm_pool_ttl,
         pool_source=pool_source,
     )

@@ -173,14 +173,12 @@ class TestSketchedConfig:
 
 
 class TestMulticoreConfig:
-    """The multicore/memory-bounding knobs: ``workers="auto"``,
-    ``parallel``, the resident-tile budgets, and ``spill_dir``."""
+    """The multicore/memory-bounding knobs: ``workers="auto"``, the
+    resident-tile budgets, and ``spill_dir``."""
 
     def test_validation(self):
         EngineConfig(workers="auto").validate()  # symbolic; dense-safe
-        EngineConfig(
-            storage="tiled", workers="auto", parallel="process"
-        ).validate()
+        EngineConfig(storage="tiled", workers="auto").validate()
         EngineConfig(
             storage="tiled",
             max_resident_tiles=4,
@@ -190,10 +188,6 @@ class TestMulticoreConfig:
         # sketched kernels route exact reads through a tiled fallback,
         # so the budgets apply there too
         EngineConfig(storage="sketched", max_resident_tiles=4).validate()
-        with pytest.raises(ApiError, match="serially"):
-            EngineConfig(parallel="process").validate()
-        with pytest.raises(ApiError, match="unknown parallel"):
-            EngineConfig(storage="tiled", parallel="gpu").validate()
         with pytest.raises(ApiError, match="max_resident_tiles"):
             EngineConfig(storage="tiled", max_resident_tiles=0).validate()
         with pytest.raises(ApiError, match="cannot spill"):
@@ -201,17 +195,10 @@ class TestMulticoreConfig:
         with pytest.raises(ApiError, match="cannot spill"):
             EngineConfig(spill_dir="/tmp/tiles").validate()
 
-    def test_canonical_collapses_thread_default(self):
-        spelled = EngineConfig(storage="tiled", parallel="thread")
-        assert spelled.canonical() == EngineConfig(storage="tiled")
-        kept = EngineConfig(storage="tiled", parallel="process")
-        assert kept.canonical() == kept
-
     def test_round_trip(self):
         config = EngineConfig(
             storage="tiled",
             workers="auto",
-            parallel="process",
             max_resident_tiles=4,
             max_resident_bytes=1 << 20,
             spill_dir="/tmp/tiles",
@@ -226,11 +213,11 @@ class TestMulticoreConfig:
         add_engine_config_args(parser)
         args = parser.parse_args(
             ["--storage", "tiled", "--workers", "auto",
-             "--parallel", "process", "--max-resident-tiles", "4",
+             "--max-resident-tiles", "4",
              "--max-resident-bytes", "1048576", "--spill-dir", "/tmp/tiles"]
         )
         expected = EngineConfig(
-            storage="tiled", workers="auto", parallel="process",
+            storage="tiled", workers="auto",
             max_resident_tiles=4, max_resident_bytes=1048576,
             spill_dir="/tmp/tiles",
         )
@@ -238,7 +225,6 @@ class TestMulticoreConfig:
         env = {
             "REPRO_STORAGE": "tiled",
             "REPRO_WORKERS": "auto",
-            "REPRO_PARALLEL": "process",
             "REPRO_MAX_RESIDENT_TILES": "4",
             "REPRO_MAX_RESIDENT_BYTES": "1048576",
             "REPRO_SPILL_DIR": "/tmp/tiles",
@@ -251,46 +237,46 @@ class TestMulticoreConfig:
         with pytest.raises(SystemExit):
             parser.parse_args(["--workers", "many"])
 
+    def test_removed_knobs_rejected_on_the_wire(self):
+        """``workers`` is the one parallelism knob: a wire form still
+        carrying the old ``parallel`` or warm-pool fields fails loudly
+        instead of being silently dropped."""
+        for field, value in (
+            ("parallel", "process"),
+            ("max_warm_pools", 2),
+            ("warm_pool_ttl", 60.0),
+        ):
+            with pytest.raises(ApiError, match=rf"unknown .*'{field}'"):
+                EngineConfig.from_dict({"storage": "tiled", field: value})
 
-class TestEngineConfigShim:
-    def test_loose_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            engine = DiversificationEngine(storage="tiled", workers=2)
-        assert engine.config == EngineConfig(storage="tiled", workers=2)
-        assert engine.storage == "tiled"
-        assert engine.workers == 2
+    def test_removed_flags_rejected_by_the_cli(self):
+        parser = argparse.ArgumentParser()
+        add_engine_config_args(parser)
+        for flag in ("--parallel", "--max-warm-pools", "--warm-pool-ttl"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--storage", "tiled", flag, "1"])
+
+
+class TestEngineConfigErrors:
+    def test_invalid_config_raises_engine_error(self):
+        with pytest.raises(EngineError, match="float64-only"):
+            DiversificationEngine(config=EngineConfig(dtype="float32"))
+
+    def test_loose_kwargs_rejected(self):
+        """Policy knobs travel only in ``config``: the old loose kwargs
+        are gone, and ``use_numpy`` is keyword-only."""
+        with pytest.raises(TypeError):
+            DiversificationEngine(storage="tiled", workers=2)
+        with pytest.raises(TypeError):
+            DiversificationEngine("auto", False)
 
     def test_config_path_does_not_warn(self, recwarn):
         engine = DiversificationEngine(
             config=EngineConfig(storage="tiled", workers=2)
         )
-        assert engine.storage == "tiled"
+        assert engine.config.storage == "tiled"
+        assert engine.config.workers == 2
         assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_config_and_loose_conflict(self):
-        with pytest.raises(EngineError, match="not both"):
-            DiversificationEngine(storage="tiled", config=EngineConfig())
-
-    def test_shim_parity_float_for_float(self, instance):
-        """Old loose kwargs and the config path agree exactly."""
-        with pytest.warns(DeprecationWarning):
-            old = DiversificationEngine(
-                storage="tiled", dtype="float32", workers=2, cache_size=2
-            )
-        new = DiversificationEngine(
-            config=EngineConfig(
-                storage="tiled", dtype="float32", workers=2, cache_size=2
-            )
-        )
-        a = old.run(instance)
-        b = new.run(instance)
-        assert a.value == b.value
-        assert a.rows == b.rows
-        assert a.indices == b.indices
-
-    def test_invalid_config_raises_engine_error(self):
-        with pytest.raises(EngineError, match="float64-only"):
-            DiversificationEngine(config=EngineConfig(dtype="float32"))
 
 
 class TestDiversifyRequest:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.exact import best_modular, branch_and_bound_max_sum
+from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveKind
 from repro.engine import (
     ALGORITHMS,
@@ -38,7 +39,7 @@ class TestConfiguration:
 
     def test_bad_cache_size(self):
         with pytest.raises(EngineError):
-            DiversificationEngine(cache_size=0)
+            DiversificationEngine(config=EngineConfig(cache_size=0))
 
 
 class TestRun:
@@ -170,7 +171,9 @@ class TestCaching:
         assert engine.cached_kernels == 2
 
     def test_lru_eviction(self):
-        engine = DiversificationEngine(algorithm="greedy_max_sum", cache_size=2)
+        engine = DiversificationEngine(
+            algorithm="greedy_max_sum", config=EngineConfig(cache_size=2)
+        )
         instances = [
             random_instance(n=8, k=2, kind=ObjectiveKind.MAX_SUM, seed=s)
             for s in range(3)
@@ -242,7 +245,9 @@ class TestCaching:
 
     def test_patch_threshold_zero_disables_patching(self):
         instance = teams_instance(k=3, num_players=9)
-        engine = DiversificationEngine(algorithm="mmr", patch_threshold=0.0)
+        engine = DiversificationEngine(
+            algorithm="mmr", config=EngineConfig(patch_threshold=0.0)
+        )
         engine.run(instance)
         instance.db.relation(teams.PLAYERS.name).add(
             ("p98", "Another Player", "guard", 42, 15)
@@ -255,4 +260,4 @@ class TestCaching:
 
     def test_negative_patch_threshold_rejected(self):
         with pytest.raises(EngineError):
-            DiversificationEngine(patch_threshold=-0.1)
+            DiversificationEngine(config=EngineConfig(patch_threshold=-0.1))

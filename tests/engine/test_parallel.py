@@ -1,46 +1,52 @@
-"""Process-pool builds and bounded-memory spilling: exactness first.
+"""Multicore builds and bounded-memory spilling: exactness first.
 
 The multicore layer (:mod:`repro.engine.parallel`) and the tile-budget
 layer in :class:`~repro.engine.storage.TiledStorage` are pure
 performance features — neither may move a float.  These tests pin that:
 
-* process-built tiles are **element-wise identical** to the serial
-  build across backends × dtypes × block sizes, and stay identical
-  through ``apply_delta`` patches;
-* closure-based providers (unpicklable snapshots) degrade to the
-  thread path silently and correctly;
+* the fan-out rule: with ``workers=2`` a NumPy build fans out over
+  threads and starts no process; a pure-Python build goes through the
+  warm process pool (a miss, then a hit on rebuild); an unpicklable
+  (closure-based) snapshot or a pool that breaks builds serially — and
+  every one of them stores exactly the serial floats, also through
+  ``apply_delta`` patches;
+* :func:`~repro.engine.parallel.build_blocks` itself: serial (in job
+  order) for one worker or one job, diagonal priming before the NumPy
+  thread pool, every block stored on the calling thread, and a pool
+  that cannot start or breaks midway leaving only its undelivered
+  blocks to the serial path;
 * a spilling grid (``max_resident_tiles`` / ``max_resident_bytes``,
   with or without ``spill_dir``) answers every read exactly like an
   unbounded one, while actually holding resident tiles at the budget;
 * ``spill_mode="mmap"`` row reads come back byte-identical to the
   rehydrate-whole-tiles path on both backends and dtypes;
 * the warm pool registry leases byte-identical snapshots only — hit/
-  miss/evict/TTL/invalidate lifecycle, ``apply_delta`` invalidation,
-  and float-identical warm-vs-cold builds;
-* the sketched landmark columns built through the process pool equal
-  the serially built sketch.
+  miss/evict/TTL/invalidate lifecycle and ``apply_delta`` invalidation;
+* the sketched landmark columns built with ``workers=2`` equal the
+  serially built sketch.
 """
+
+import logging
+import threading
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.core.functions import DistanceFunction, RelevanceFunction
 from repro.core.objectives import Objective, ObjectiveKind
+import repro.engine.parallel as parallel
 from repro.engine import (
-    PARALLEL_MODES,
     KernelError,
     ScoringKernel,
     TiledStorage,
     available_cpus,
     numpy_available,
     resolve_workers,
-    supports_process_pool,
 )
 from repro.engine.parallel import (
-    ProcessTileBuilder,
     WarmPoolRegistry,
-    validate_parallel,
+    build_blocks,
     validate_workers,
-    warm_pool_registry,
 )
 from repro.workloads.synthetic import random_instance
 
@@ -71,6 +77,25 @@ def closure_instance(n=14, k=4, seed=5):
     return base.with_objective(objective)
 
 
+def _refuse_to_unpickle():
+    raise RuntimeError("this snapshot cannot load in a worker")
+
+
+class WorkerHostileProvider:
+    """Delegates every call to a real provider and pickles fine — but
+    unpickling it (in a pool worker's initializer) raises, so the pool
+    breaks before it scores a block."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
+
+
 def assert_matrices_equal(expected, actual):
     assert actual.n == expected.n
     assert actual.distance_rows() == expected.distance_rows()
@@ -80,6 +105,30 @@ def assert_matrices_equal(expected, actual):
             assert actual.distance_between(i, j) == expected.distance_between(
                 i, j
             )
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """A fresh process-wide warm pool registry, so counters start at 0;
+    its pools are shut down after the test."""
+    fresh = WarmPoolRegistry()
+    monkeypatch.setattr(parallel, "_REGISTRY", fresh)
+    yield fresh
+    fresh.clear()
+
+
+def no_processes(monkeypatch):
+    def refuse(payload, workers):
+        raise AssertionError("this build must not start a process")
+
+    monkeypatch.setattr(parallel, "_make_executor", refuse)
+
+
+def no_threads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("this build must not start a thread pool")
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", refuse)
 
 
 class TestKnobs:
@@ -103,60 +152,123 @@ class TestKnobs:
         assert resolve_workers("auto") == available_cpus()
         assert available_cpus() >= 1
 
-    def test_validate_parallel(self):
-        assert validate_parallel(None) == "thread"
-        for mode in PARALLEL_MODES:
-            assert validate_parallel(mode) == mode
-        with pytest.raises(ValueError):
-            validate_parallel("gpu")
-        with pytest.raises(KernelError):
-            validate_parallel("gpu", KernelError)
-
-    def test_kernel_accepts_auto_and_rejects_bad_modes(self):
+    def test_kernel_accepts_auto_workers(self):
         instance = random_instance(n=8, k=3, seed=1)
         kernel = tiled_kernel(instance, False, workers="auto")
         assert kernel.workers == "auto"
-        with pytest.raises(KernelError):
-            tiled_kernel(instance, False, parallel="gpu")
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, parallel="process")
+
+    def test_kernel_rejects_removed_knobs(self):
+        instance = random_instance(n=8, k=3, seed=1)
+        for knob, value in (
+            ("parallel", "process"),
+            ("max_warm_pools", 2),
+            ("warm_pool_ttl", 60.0),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                tiled_kernel(instance, False, workers=2, **{knob: value})
 
 
-class TestProcessParity:
-    """Worker-built tiles hold the same floats a serial build would."""
+class TestFanOut:
+    """``workers`` is the only knob; the backend picks the fan-out, and
+    every fan-out stores the floats a serial build would."""
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     @pytest.mark.parametrize("dtype", [None, "float32"])
     @pytest.mark.parametrize("block_size", [3, 7, 12])
-    def test_identical_to_serial(self, use_numpy, dtype, block_size):
+    def test_numpy_fans_out_over_threads(
+        self, registry, monkeypatch, dtype, block_size
+    ):
         instance = random_instance(
             n=23, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
         )
-        serial = tiled_kernel(
-            instance, use_numpy, block_size=block_size, dtype=dtype
-        )
-        pooled = tiled_kernel(
-            instance,
-            use_numpy,
-            block_size=block_size,
-            dtype=dtype,
-            workers=2,
-            parallel="process",
-        )
+        serial = tiled_kernel(instance, True, block_size=block_size, dtype=dtype)
         serial.materialize_all()
-        pooled.materialize_all()
-        assert pooled._storage.is_fully_built
-        assert_matrices_equal(serial, pooled)
+        before = registry.stats()
+        no_processes(monkeypatch)
+        threaded = tiled_kernel(
+            instance, True, block_size=block_size, dtype=dtype, workers=2
+        )
+        threaded.materialize_all()
+        assert registry.stats() == before
+        assert threaded._storage.is_fully_built
+        assert_matrices_equal(serial, threaded)
+
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    @pytest.mark.parametrize("block_size", [3, 7, 12])
+    def test_pure_python_fans_out_over_warm_pool(
+        self, registry, monkeypatch, dtype, block_size
+    ):
+        instance = random_instance(
+            n=23, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
+        )
+        serial = tiled_kernel(instance, False, block_size=block_size, dtype=dtype)
+        serial.materialize_all()
+        no_threads(monkeypatch)
+        cold = tiled_kernel(
+            instance, False, block_size=block_size, dtype=dtype, workers=2
+        )
+        cold.materialize_all()
+        stats = registry.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 0)
+        warm = tiled_kernel(
+            instance, False, block_size=block_size, dtype=dtype, workers=2
+        )
+        warm.materialize_all()
+        stats = registry.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+        assert stats["pool_failures"] == 0
+        assert_matrices_equal(serial, cold)
+        assert_matrices_equal(serial, warm)
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_identical_through_apply_delta(self, use_numpy):
+    def test_unpicklable_snapshot_builds_without_processes(
+        self, registry, monkeypatch, use_numpy
+    ):
+        """A closure-based snapshot never reaches a worker: pure Python
+        builds it serially (no threads either), NumPy over threads."""
+        instance = closure_instance()
+        serial = tiled_kernel(instance, use_numpy, block_size=4)
+        serial.materialize_all()
+        no_processes(monkeypatch)
+        if not use_numpy:
+            no_threads(monkeypatch)
+        built = tiled_kernel(instance, use_numpy, block_size=4, workers=2)
+        built.materialize_all()
+        assert not any(registry.stats().values())
+        assert built._storage.is_fully_built
+        assert_matrices_equal(serial, built)
+
+    def test_broken_pool_builds_serially(self, registry):
+        """A pool whose workers cannot load the snapshot breaks; the
+        build finishes serially with the serial floats and counts one
+        ``pool_failures``."""
+        base = random_instance(
+            n=17, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=4
+        )
+        hostile = base.with_objective(
+            Objective.from_provider(
+                ObjectiveKind.MAX_SUM,
+                WorkerHostileProvider(base.objective.provider),
+                lam=0.5,
+            )
+        )
+        serial = tiled_kernel(base, False, block_size=4)
+        serial.materialize_all()
+        built = tiled_kernel(hostile, False, block_size=4, workers=2)
+        built.materialize_all()
+        stats = registry.stats()
+        assert stats["pool_failures"] == 1
+        assert stats["pools"] == 0  # the broken executor was discarded
+        assert built._storage.is_fully_built
+        assert_matrices_equal(serial, built)
+
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
+    def test_identical_through_apply_delta(self, registry, use_numpy):
         instance = random_instance(
             n=19, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=6
         )
         serial = tiled_kernel(instance, use_numpy, block_size=5)
-        pooled = tiled_kernel(
-            instance, use_numpy, block_size=5, workers=2, parallel="process"
-        )
+        pooled = tiled_kernel(instance, use_numpy, block_size=5, workers=2)
         serial.materialize_all()
         pooled.materialize_all()
         rows = list(instance.answers())
@@ -167,37 +279,160 @@ class TestProcessParity:
         assert pooled.answers == serial.answers
         assert_matrices_equal(serial, pooled)
 
-    def test_supports_process_pool_probe(self):
-        instance = random_instance(n=9, k=3, seed=4)
-        provider = instance.objective.provider
-        assert supports_process_pool(provider, instance.answers())
-        closed = closure_instance()
-        kernel = ScoringKernel(closed, use_numpy=False)
-        assert not supports_process_pool(
-            kernel.provider, closed.answers()
-        )
 
-    def test_builder_refuses_unpicklable_snapshot(self):
-        closed = closure_instance()
-        kernel = ScoringKernel(closed, use_numpy=False)
-        builder = ProcessTileBuilder.create(
-            kernel.provider, tuple(closed.answers()), False, 2
-        )
-        assert builder is None
+def grid_jobs(blocks=3):
+    """``build_blocks`` jobs over the upper triangle of a block grid."""
+    return [
+        ((a, b), ("tile", a, a + 1, b, b + 1))
+        for a in range(blocks)
+        for b in range(a, blocks)
+    ]
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_closure_provider_degrades_to_threads(self, use_numpy):
-        """parallel='process' on an unpicklable snapshot must build the
-        exact grid anyway (silently, through the thread path)."""
-        instance = closure_instance()
-        serial = tiled_kernel(instance, use_numpy, block_size=4)
-        pooled = tiled_kernel(
-            instance, use_numpy, block_size=4, workers=2, parallel="process"
+
+def serial_build(spec):
+    return ("serial", spec)
+
+
+def refuse_snapshot():
+    raise AssertionError("this build must not ask for a snapshot")
+
+
+class Recorder:
+    """A ``store`` callback that records blocks and the storing thread."""
+
+    def __init__(self):
+        self.stored = []
+        self.threads = set()
+
+    def __call__(self, key, block):
+        self.stored.append((key, block))
+        self.threads.add(threading.get_ident())
+
+
+class HalfwayPool:
+    """A leased pool that delivers ``delivered`` blocks, then breaks."""
+
+    def __init__(self, delivered):
+        self.delivered = delivered
+        self.closed = False
+
+    def build(self, jobs, store):
+        for key, spec in jobs[: self.delivered]:
+            store(key, ("pool", spec))
+        raise BrokenExecutor("a worker died")
+
+    def close(self):
+        self.closed = True
+
+
+class TestBuildBlocks:
+    """The fan-out rule on stand-in blocks, without scoring anything."""
+
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_one_worker_builds_serially_in_order(self, monkeypatch, use_numpy):
+        no_processes(monkeypatch)
+        no_threads(monkeypatch)
+        jobs = grid_jobs()
+        for workers in (None, 1):
+            record = Recorder()
+            build_blocks(
+                jobs, serial_build, record, workers, use_numpy,
+                pool_source=refuse_snapshot,
+            )
+            assert record.stored == [
+                (key, serial_build(spec)) for key, spec in jobs
+            ]
+
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_single_job_builds_serially(self, monkeypatch, use_numpy):
+        no_processes(monkeypatch)
+        no_threads(monkeypatch)
+        jobs = grid_jobs(blocks=1)
+        record = Recorder()
+        build_blocks(
+            jobs, serial_build, record, 2, use_numpy,
+            pool_source=refuse_snapshot,
         )
-        serial.materialize_all()
-        pooled.materialize_all()
-        assert pooled._storage.is_fully_built
-        assert_matrices_equal(serial, pooled)
+        assert record.stored == [((0, 0), serial_build(jobs[0][1]))]
+
+    def test_pure_python_without_snapshot_builds_serially(self, monkeypatch):
+        no_processes(monkeypatch)
+        no_threads(monkeypatch)
+        jobs = grid_jobs()
+        record = Recorder()
+        build_blocks(jobs, serial_build, record, 2, False)
+        assert record.stored == [(key, serial_build(spec)) for key, spec in jobs]
+
+    def test_numpy_primes_diagonal_before_threads(self, monkeypatch):
+        """Diagonal jobs build serially before the thread pool starts;
+        NumPy never asks for a snapshot, and every block is stored on
+        the calling thread."""
+        no_processes(monkeypatch)
+        record = Recorder()
+        stored_when_pool_started = []
+        real = parallel.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            stored_when_pool_started.append([key for key, _ in record.stored])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", spy)
+        jobs = grid_jobs()
+        build_blocks(
+            jobs, serial_build, record, 2, True,
+            pool_source=refuse_snapshot,
+            prime=lambda key: key[0] == key[1],
+        )
+        assert stored_when_pool_started == [[(0, 0), (1, 1), (2, 2)]]
+        order = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+        specs = dict(jobs)
+        assert record.stored == [(key, serial_build(specs[key])) for key in order]
+        assert record.threads == {threading.get_ident()}
+
+    def test_pool_that_cannot_start_builds_serially(
+        self, registry, monkeypatch, caplog
+    ):
+        def cannot_start(payload, workers):
+            raise OSError("no semaphores on this host")
+
+        monkeypatch.setattr(parallel, "_make_executor", cannot_start)
+        no_threads(monkeypatch)
+        jobs = grid_jobs()
+        record = Recorder()
+        with caplog.at_level(logging.WARNING, logger=parallel.__name__):
+            build_blocks(
+                jobs, serial_build, record, 2, False,
+                pool_source=lambda: _snapshot(seed=1),
+            )
+        assert record.stored == [(key, serial_build(spec)) for key, spec in jobs]
+        stats = registry.stats()
+        assert stats["pool_failures"] == 1
+        assert stats["pools"] == 0 and stats["misses"] == 0
+        assert "OSError: no semaphores on this host" in caplog.text
+        assert "building 6 of 6 blocks serially" in caplog.text
+
+    def test_pool_breaking_midway_builds_the_rest_serially(
+        self, registry, monkeypatch, caplog
+    ):
+        pool = HalfwayPool(delivered=2)
+        monkeypatch.setattr(
+            registry, "acquire", lambda provider, answers, workers: pool
+        )
+        no_threads(monkeypatch)
+        jobs = grid_jobs()
+        record = Recorder()
+        with caplog.at_level(logging.WARNING, logger=parallel.__name__):
+            build_blocks(
+                jobs, serial_build, record, 2, False,
+                pool_source=lambda: (None, ()),
+            )
+        assert record.stored == [
+            (key, ("pool", spec)) for key, spec in jobs[:2]
+        ] + [(key, serial_build(spec)) for key, spec in jobs[2:]]
+        assert pool.closed
+        assert registry.stats()["pool_failures"] == 1
+        assert "BrokenExecutor: a worker died" in caplog.text
+        assert "building 4 of 6 blocks serially" in caplog.text
 
 
 class TestSpilling:
@@ -279,8 +514,8 @@ class TestSpilling:
         assert set(stats) == set(dense.storage_stats())
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_process_build_into_spilling_grid(self, use_numpy):
-        """The two features compose: pool-built tiles land in a budgeted
+    def test_pooled_build_into_spilling_grid(self, registry, use_numpy):
+        """The two features compose: fanned-out tiles land in a budgeted
         grid, evict, rebuild on touch — and every read stays exact."""
         instance = random_instance(
             n=18, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=8
@@ -291,7 +526,6 @@ class TestSpilling:
             use_numpy,
             block_size=4,
             workers=2,
-            parallel="process",
             max_resident_tiles=2,
         )
         kernel.materialize_all()
@@ -401,10 +635,10 @@ class TestWarmPools:
     def test_miss_then_hit_reuses_executor(self):
         registry = WarmPoolRegistry(max_pools=2, ttl=100.0, clock=FakeClock())
         provider, answers = _snapshot(seed=1)
-        first = registry.acquire(provider, answers, False, 2)
+        first = registry.acquire(provider, answers, 2)
         executor = first._executor
         first.close()
-        second = registry.acquire(provider, answers, False, 2)
+        second = registry.acquire(provider, answers, 2)
         assert second._executor is executor
         second.close()
         stats = registry.stats()
@@ -415,8 +649,8 @@ class TestWarmPools:
     def test_leased_pool_bypasses_to_cold(self):
         registry = WarmPoolRegistry(max_pools=2, ttl=100.0, clock=FakeClock())
         provider, answers = _snapshot(seed=2)
-        first = registry.acquire(provider, answers, False, 2)
-        second = registry.acquire(provider, answers, False, 2)
+        first = registry.acquire(provider, answers, 2)
+        second = registry.acquire(provider, answers, 2)
         assert second._executor is not first._executor
         assert registry.stats()["bypasses"] == 1
         second.close()  # cold builder: owns and shuts down its pool
@@ -428,7 +662,7 @@ class TestWarmPools:
         registry = WarmPoolRegistry(max_pools=1, ttl=100.0, clock=FakeClock())
         for seed in (3, 4):
             provider, answers = _snapshot(seed=seed)
-            registry.acquire(provider, answers, False, 2).close()
+            registry.acquire(provider, answers, 2).close()
         stats = registry.stats()
         assert stats["evictions"] == 1 and stats["pools"] == 1
         registry.clear()
@@ -437,13 +671,13 @@ class TestWarmPools:
         clock = FakeClock()
         registry = WarmPoolRegistry(max_pools=4, ttl=60.0, clock=clock)
         provider, answers = _snapshot(seed=5)
-        registry.acquire(provider, answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
         clock.advance(61.0)
         registry.reap()
         stats = registry.stats()
         assert stats["expirations"] == 1 and stats["pools"] == 0
         # The next acquire is a fresh miss, not a stale hit.
-        registry.acquire(provider, answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
         assert registry.stats()["misses"] == 2
         registry.clear()
 
@@ -451,19 +685,19 @@ class TestWarmPools:
         registry = WarmPoolRegistry(max_pools=4, ttl=100.0, clock=FakeClock())
         provider, answers = _snapshot(seed=6)
         other_provider, other_answers = _snapshot(seed=7)
-        registry.acquire(provider, answers, False, 2).close()
-        registry.acquire(other_provider, other_answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
+        registry.acquire(other_provider, other_answers, 2).close()
         assert registry.invalidate(provider) == 1
         stats = registry.stats()
         assert stats["invalidations"] == 1 and stats["pools"] == 1
-        registry.acquire(provider, answers, False, 2).close()
+        registry.acquire(provider, answers, 2).close()
         assert registry.stats()["misses"] == 3
         registry.clear()
 
     def test_zero_limit_bypasses_registry(self):
-        registry = WarmPoolRegistry(max_pools=4, ttl=100.0, clock=FakeClock())
+        registry = WarmPoolRegistry(max_pools=0, ttl=100.0, clock=FakeClock())
         provider, answers = _snapshot(seed=8)
-        builder = registry.acquire(provider, answers, False, 2, max_pools=0)
+        builder = registry.acquire(provider, answers, 2)
         builder.close()
         stats = registry.stats()
         assert stats["bypasses"] == 1 and stats["pools"] == 0
@@ -474,55 +708,21 @@ class TestWarmPools:
         closed = closure_instance()
         kernel = ScoringKernel(closed, use_numpy=False)
         assert (
-            registry.acquire(kernel.provider, tuple(closed.answers()), False, 2)
+            registry.acquire(kernel.provider, tuple(closed.answers()), 2)
             is None
         )
         assert len(registry) == 0
 
-    def test_apply_delta_invalidates_global_registry(self):
-        registry = warm_pool_registry()
-        registry.clear()
+    def test_apply_delta_invalidates_global_registry(self, registry):
         instance = random_instance(
             n=16, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=11
         )
-        kernel = tiled_kernel(
-            instance, False, block_size=4, workers=2, parallel="process"
-        )
-        try:
-            kernel.materialize_all()
-            assert len(registry) == 1
-            rows = list(instance.answers())
-            kernel.apply_delta(deleted=[rows[0]])
-            assert len(registry) == 0
-        finally:
-            registry.clear()
-
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_warm_build_floats_equal_cold(self, use_numpy):
-        """The second (warm) build holds exactly the floats of the first
-        (cold) build and of a serial build — on both backends."""
-        registry = warm_pool_registry()
-        registry.clear()
-        instance = random_instance(
-            n=19, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=12
-        )
-        try:
-            serial = tiled_kernel(instance, use_numpy, block_size=5)
-            serial.materialize_all()
-            cold = tiled_kernel(
-                instance, use_numpy, block_size=5, workers=2, parallel="process"
-            )
-            cold.materialize_all()
-            assert registry.stats()["misses"] >= 1
-            warm = tiled_kernel(
-                instance, use_numpy, block_size=5, workers=2, parallel="process"
-            )
-            warm.materialize_all()
-            assert registry.stats()["hits"] >= 1
-            assert_matrices_equal(serial, cold)
-            assert_matrices_equal(serial, warm)
-        finally:
-            registry.clear()
+        kernel = tiled_kernel(instance, False, block_size=4, workers=2)
+        kernel.materialize_all()
+        assert len(registry) == 1
+        rows = list(instance.answers())
+        kernel.apply_delta(deleted=[rows[0]])
+        assert len(registry) == 0
 
 
 class TestSketchPooled:
@@ -532,7 +732,7 @@ class TestSketchPooled:
         return c.tolist() if sketch.backend == "numpy" else c
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_pooled_sketch_equals_serial(self, use_numpy):
+    def test_pooled_sketch_equals_serial(self, registry, use_numpy):
         instance = random_instance(
             n=23, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
         )
@@ -550,8 +750,30 @@ class TestSketchPooled:
             sketch_columns=5,
             block_size=4,
             workers=2,
-            parallel="process",
         )
         a, b = serial.sketch(), pooled.sketch()
         assert b.landmark_positions == a.landmark_positions
         assert self.columns(b) == self.columns(a)
+
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
+    def test_sketch_fans_out_like_the_grid(self, registry, monkeypatch, use_numpy):
+        """Landmark columns follow the grid's rule: threads and no
+        process on NumPy, the warm pool and no thread pool on pure
+        Python."""
+        instance = random_instance(
+            n=23, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=3
+        )
+        knobs = dict(storage="sketched", sketch_columns=5, block_size=4)
+        serial = ScoringKernel(instance, use_numpy=use_numpy, **knobs).sketch()
+        if use_numpy:
+            no_processes(monkeypatch)
+        else:
+            no_threads(monkeypatch)
+        pooled = ScoringKernel(
+            instance, use_numpy=use_numpy, workers=2, **knobs
+        ).sketch()
+        stats = registry.stats()
+        assert stats["misses"] == (0 if use_numpy else 1)
+        assert stats["pool_failures"] == 0
+        assert pooled.landmark_positions == serial.landmark_positions
+        assert self.columns(pooled) == self.columns(serial)

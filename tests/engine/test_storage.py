@@ -12,7 +12,7 @@ the contract:
 * tiled float32 stays inside the documented relative-error envelope and
   still reproduces the pinned selections of every registered algorithm;
 * tiled storage is actually lazy (tiles appear on first touch, never at
-  construction) and the parallel build produces the identical grid.
+  construction) and the ``workers`` build produces the identical grid.
 """
 
 import json
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.incremental import early_termination_top_k
+from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveKind
 from repro.engine import (
     ALGORITHMS,
@@ -310,15 +311,17 @@ class TestValidation:
 
     def test_engine_knob_validation(self):
         with pytest.raises(EngineError):
-            DiversificationEngine(storage="sparse")
+            DiversificationEngine(config=EngineConfig(storage="sparse"))
         with pytest.raises(EngineError):
-            DiversificationEngine(dtype="float16")
+            DiversificationEngine(config=EngineConfig(dtype="float16"))
         with pytest.raises(EngineError):
-            DiversificationEngine(dtype="float32")  # dense default
+            # dense default
+            DiversificationEngine(config=EngineConfig(dtype="float32"))
         with pytest.raises(EngineError):
-            DiversificationEngine(storage="tiled", workers=0)
+            DiversificationEngine(config=EngineConfig(storage="tiled", workers=0))
         with pytest.raises(EngineError):
-            DiversificationEngine(workers=4)  # dense default, silent no-op
+            # dense default, silent no-op
+            DiversificationEngine(config=EngineConfig(workers=4))
 
 
 class TestEngineThreading:
@@ -330,10 +333,9 @@ class TestEngineThreading:
         dense_engine = DiversificationEngine(use_numpy=use_numpy)
         tiled_engine = DiversificationEngine(
             use_numpy=use_numpy,
-            storage="tiled",
-            dtype="float32",
-            workers=2,
-            block_size=4,
+            config=EngineConfig(
+                storage="tiled", dtype="float32", workers=2, block_size=4
+            ),
         )
         dense_result = dense_engine.run(instance)
         tiled_result = tiled_engine.run(instance)

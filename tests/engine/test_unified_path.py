@@ -111,21 +111,23 @@ def _drain_warm_pools():
 
 @pytest.mark.parametrize("pin", PINS, ids=pin_id)
 def test_warm_mmap_kernel_matches_pins(pin, tmp_path):
-    """The full warm path — tiles built through a process pool leased
-    from the warm registry, then spilled to an mmap-backed segment under
-    a tight resident budget — is still the same substrate.  Pins are
-    grouped by instance, so consecutive pins lease the pool the
-    previous build left behind (one spawn per distinct snapshot)."""
+    """The full warm path — pure-Python tiles built through a process
+    pool leased from the warm registry, then spilled to an mmap-backed
+    segment under a tight resident budget — is still the same substrate.
+    ``use_numpy=False`` because only the pure-Python backend fans out
+    over processes.  Pins are grouped by instance, so consecutive pins
+    lease the pool the previous build left behind (one spawn per
+    distinct snapshot)."""
     instance = pin_instance(pin)
     kernel = ScoringKernel(
         instance,
+        use_numpy=False,
         storage="tiled",
         block_size=4,
         max_resident_tiles=2,
         spill_dir=str(tmp_path),
         spill_mode="mmap",
         workers=2,
-        parallel="process",
     )
     kernel.materialize_all()
     if pin["algorithm"] == "early_termination_top_k":
