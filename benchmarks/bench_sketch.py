@@ -54,6 +54,7 @@ except ImportError:  # running as a script without PYTHONPATH/pip install
 from repro.algorithms.greedy import select_greedy_marginal_max_sum
 from repro.algorithms.sketched import select_sketched_marginal_max_sum
 from repro.algorithms.streaming import StreamingGreedySelector
+from repro.api import EngineConfig
 from repro.core.instance import DiversificationInstance
 from repro.core.objectives import Objective, ObjectiveKind
 from repro.engine import ScoringKernel, numpy_available
@@ -89,7 +90,7 @@ def build_and_select(config, instance, use_numpy):
     """(kernel, selection value, certificate|None) for one cold pass."""
     if config == "sketched":
         kernel = ScoringKernel(
-            instance, use_numpy=use_numpy, storage="sketched"
+            instance, use_numpy=use_numpy, config=EngineConfig(storage="sketched")
         )
         selection = select_sketched_marginal_max_sum(
             kernel, instance.objective, instance.k
@@ -97,7 +98,9 @@ def build_and_select(config, instance, use_numpy):
         assert selection is not None, "sketched selection infeasible"
         return kernel, selection.value, selection.certificate
     knobs = {} if config == "dense-f64" else {"storage": "tiled"}
-    kernel = ScoringKernel(instance, use_numpy=use_numpy, **knobs)
+    kernel = ScoringKernel(
+        instance, use_numpy=use_numpy, config=EngineConfig(**knobs)
+    )
     indices = select_greedy_marginal_max_sum(
         kernel, instance.objective, instance.k
     )

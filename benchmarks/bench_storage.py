@@ -27,9 +27,10 @@ websearch workload:
 * ``tiled-spill`` — tiled-f64 under an LRU tile budget
   (``max_resident_tiles``): bounded resident memory, evicted tiles
   rebuilt on touch;
-* ``tiled-mmap`` — the same tile budget with ``spill_mode="mmap"``:
-  evicted tiles go to an append-only segment file and reads come back
-  through mapped windows instead of whole-tile rebuilds.
+* ``tiled-spill-dir`` — the same tile budget with ``spill_dir`` set:
+  evicted tiles go to an append-only segment file, and row reads come
+  back from it one positioned read per row instead of whole-tile
+  rebuilds.
 
 Every run re-verifies correctness in-bench (these assertions gate CI):
 float64 configs must be element-wise *equal* to dense on a sampled
@@ -52,7 +53,7 @@ the CI memory gate: a spilling kernel materializes all of n = 20,000
 (dense-f64 equivalent: ~3.2 GB) with a tracemalloc peak under 35% of
 that, selecting float-for-float identically to an unbounded kernel.
 ``--warm-smoke`` is the CI warm-path gate: pure-Python warm-pool builds
-and mmap-spill builds on both backends must be float-identical to
+and spill-segment builds on both backends must be float-identical to
 serial, and on hosts with ≥ 2 CPUs the second (warm) pure-Python
 process-pool build must run ≥ 2× faster than the cold one.
 
@@ -63,7 +64,7 @@ Usage::
     python benchmarks/bench_storage.py --lazy-smoke   # lazy-path CI check
     python benchmarks/bench_storage.py --multicore-smoke  # process-pool gate
     python benchmarks/bench_storage.py --bounded-smoke    # n=20k memory gate
-    python benchmarks/bench_storage.py --warm-smoke       # warm-pool + mmap gate
+    python benchmarks/bench_storage.py --warm-smoke       # warm-pool + segment gate
     python benchmarks/bench_storage.py --check        # fail unless targets met
     python benchmarks/bench_storage.py --no-numpy     # pure-Python kernels
     python benchmarks/bench_storage.py --json BENCH_storage.json
@@ -84,6 +85,7 @@ except ImportError:  # running as a script without PYTHONPATH/pip install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.algorithms.mmr import mmr_select
+from repro.api import EngineConfig
 from repro.core.instance import DiversificationInstance
 from repro.core.objectives import Objective, ObjectiveKind
 from repro.engine import (
@@ -127,8 +129,8 @@ CONFIGS = (
     ("tiled-warmpool", dict(storage="tiled", workers="auto")),
     ("tiled-spill", dict(storage="tiled", block_size=64, max_resident_tiles=4)),
     # spill_dir is injected at run time (a per-run tempdir).
-    ("tiled-mmap", dict(storage="tiled", block_size=64, max_resident_tiles=4,
-                        spill_mode="mmap")),
+    ("tiled-spill-dir", dict(storage="tiled", block_size=64,
+                             max_resident_tiles=4)),
 )
 
 #: Cold/warm process-pool cells: only pure-Python builds fan out over
@@ -165,9 +167,15 @@ def build_instances(n, k=10, lam=0.5, seed=17):
 
 
 def full_build(instance, knobs, use_numpy):
-    kernel = ScoringKernel(instance, use_numpy=use_numpy, **knobs)
+    kernel = ScoringKernel(
+        instance, use_numpy=use_numpy, config=EngineConfig(**knobs)
+    )
     kernel.materialize_all()
     return kernel
+
+
+def dtype_of(kernel):
+    return kernel.config.dtype or "float64"
 
 
 def measure_config(instance, knobs, use_numpy, repeat, prepare=None):
@@ -206,7 +214,7 @@ def sample_indices(n, limit=48):
 
 def assert_storage_parity(config, kernel, dense_vals, dense_sums, idx):
     """The in-bench correctness gate (CI fails when these trip)."""
-    exact = kernel.dtype == "float64"
+    exact = dtype_of(kernel) == "float64"
     for i in idx:
         for j in idx:
             value = kernel.distance_between(i, j)
@@ -230,14 +238,14 @@ def assert_storage_parity(config, kernel, dense_vals, dense_sums, idx):
 def _cell_setup(config, knobs, instance, use_numpy, spill_root):
     """Per-config run-time knob injection and pre-build hook.
 
-    ``tiled-mmap`` gets the run's spill tempdir; ``tiled-procpool``
+    ``tiled-spill-dir`` gets the run's spill tempdir; ``tiled-procpool``
     clears the warm-pool registry before every build so it keeps
     pricing the cold path; ``tiled-warmpool`` primes the registry once
     so every measured build leases already-spawned workers.
     """
     knobs = dict(knobs)
     prepare = None
-    if config == "tiled-mmap":
+    if config == "tiled-spill-dir":
         knobs["spill_dir"] = spill_root
     elif config == "tiled-procpool":
         prepare = warm_pool_registry().clear
@@ -261,7 +269,7 @@ def run_sizes(sizes, use_numpy, repeat):
             base_seconds, base_peak, dense = measure_config(
                 instances["dense-f64"], dict(CONFIGS[0][1]), use_numpy, repeat
             )
-            results["dense-f64"] = (base_seconds, base_peak, dense.dtype)
+            results["dense-f64"] = (base_seconds, base_peak, dtype_of(dense))
             idx = sample_indices(dense.n)
             dense_vals = {
                 (i, j): dense.distance_between(i, j) for i in idx for j in idx
@@ -284,7 +292,7 @@ def run_sizes(sizes, use_numpy, repeat):
                 assert rows == dense_rows, (
                     f"selection diverged: {config} != dense-f64"
                 )
-                results[config] = (seconds, peak, kernel.dtype)
+                results[config] = (seconds, peak, dtype_of(kernel))
                 del kernel
             for config, knobs in configs:
                 seconds, peak, dtype = results[config]
@@ -374,8 +382,7 @@ def run_lazy_smoke(use_numpy):
     tiled = ScoringKernel(
         instances["tiled-f64"],
         use_numpy=use_numpy,
-        storage="tiled",
-        block_size=block,
+        config=EngineConfig(storage="tiled", block_size=block),
     )
     storage = tiled._storage
     assert isinstance(storage, TiledStorage)
@@ -414,9 +421,7 @@ def _instance_pair(n, k, seed=17, lam=0.5):
 
 
 def _build_kernel(instance, use_numpy, **knobs):
-    kernel = ScoringKernel(instance, use_numpy=use_numpy, **knobs)
-    kernel.materialize_all()
-    return kernel
+    return full_build(instance, knobs, use_numpy)
 
 
 def _assert_same_kernel(label, serial, pooled, serial_inst, pooled_inst, n):
@@ -554,7 +559,7 @@ def run_warm_smoke(use_numpy, json_path=None):
     """The CI warm-path gate.
 
     Parity cells: a pure-Python build served from a warm pool, and a
-    budgeted ``spill_mode="mmap"`` kernel on both backends, must be
+    budgeted ``spill_dir`` kernel on both backends, must be
     float-identical to the serial build — sampled grid, row sums, and
     MMR selection; with NumPy the NumPy fan-out check runs too.
     The speedup cell times the GIL-bound pure-Python process build cold
@@ -571,7 +576,7 @@ def run_warm_smoke(use_numpy, json_path=None):
     backends = [("python", False, 300, 32)]
     if use_numpy:
         backends.insert(0, ("numpy", True, 1200, 128))
-    mmap_stats = {}
+    segment_stats = {}
     with tempfile.TemporaryDirectory(prefix="warm-smoke-spill-") as spill_root:
         for name, flag, n, block in backends:
             serial_inst, pooled_inst = _instance_pair(n, k=5)
@@ -605,22 +610,21 @@ def run_warm_smoke(use_numpy, json_path=None):
                 mapped_inst, flag, storage="tiled", block_size=block,
                 max_resident_tiles=2,
                 spill_dir=os.path.join(spill_root, name),
-                spill_mode="mmap",
             )
             _assert_same_kernel(
-                f"mmap/{name}", serial, mapped, serial_inst, mapped_inst, n
+                f"segment/{name}", serial, mapped, serial_inst, mapped_inst, n
             )
             stats = mapped.storage_stats()
             assert stats["mmap_reads"] > 0, (
-                f"mmap/{name}: no reads came back through mapped windows"
+                f"segment/{name}: no row reads came back from the segment"
             )
-            mmap_stats[name] = {
+            segment_stats[name] = {
                 key: stats[key]
                 for key in ("spills", "mmap_reads", "bytes_mapped")
             }
             print(
-                f"parity ok: {name} backend, n={n}, mmap-spill reads "
-                f"identical to serial ({stats['mmap_reads']} mapped reads, "
+                f"parity ok: {name} backend, n={n}, spill-segment reads "
+                f"identical to serial ({stats['mmap_reads']} row reads, "
                 f"{stats['bytes_mapped']} bytes)"
             )
         n, block = 300, 32
@@ -673,7 +677,7 @@ def run_warm_smoke(use_numpy, json_path=None):
                 "target": WARM_TARGET_SPEEDUP,
                 "enforced": cpus >= 2,
             },
-            "mmap": mmap_stats,
+            "segment": segment_stats,
             "wall_seconds": time.perf_counter() - start,
         }
         common.write_json(json_path, payload)
@@ -695,7 +699,9 @@ def run_bounded_smoke(use_numpy, json_path=None):
     # The selection reference: an unbounded lazy tiled kernel (MMR only
     # touches the tiles it needs; nothing here is O(n²)-resident either).
     reference = ScoringKernel(
-        lazy_inst, use_numpy=use_numpy, storage="tiled", block_size=block
+        lazy_inst,
+        use_numpy=use_numpy,
+        config=EngineConfig(storage="tiled", block_size=block),
     )
     ref_pick = mmr_select(lazy_inst, kernel=reference)
     assert ref_pick is not None, "bounded smoke: reference MMR returned nothing"
@@ -792,7 +798,7 @@ def main(argv=None):
     parser.add_argument(
         "--warm-smoke",
         action="store_true",
-        help="CI warm-path gate: warm-pool and mmap-spill builds identical "
+        help="CI warm-path gate: warm-pool and spill-segment builds identical "
         f"to serial; >={WARM_TARGET_SPEEDUP:g}x warm-vs-cold pool speedup "
         "on >=2 CPUs",
     )

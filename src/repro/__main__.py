@@ -41,9 +41,9 @@ Commands:
 Both ``diversify`` and ``serve`` share one engine-policy flag set
 (:func:`repro.api.add_engine_config_args`: ``--storage`` / ``--dtype``
 / ``--workers`` (an int or ``auto``) / ``--max-resident-tiles`` /
-``--max-resident-bytes`` / ``--spill-dir`` / ``--spill-mode`` /
-``--block-size`` / ``--cache-size`` / ``--patch-threshold`` /
-``--sketch-columns`` / ``--landmarks`` / ``--approx``), layered over
+``--max-resident-bytes`` / ``--spill-dir`` / ``--block-size`` /
+``--cache-size`` / ``--patch-threshold`` / ``--sketch-columns`` /
+``--landmarks`` / ``--approx``), layered over
 ``REPRO_*`` environment variables
 (:meth:`repro.api.EngineConfig.from_env`).  ``--workers`` is the only
 parallelism flag: the kernel backend picks the fan-out (threads with

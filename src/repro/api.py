@@ -11,10 +11,11 @@ wiring.  This module collapses that sprawl into three value objects:
   directly, from parsed CLI args (:meth:`EngineConfig.from_args`, with
   the flags added by :func:`add_engine_config_args`), or from
   ``REPRO_*`` environment variables (:meth:`EngineConfig.from_env`).
-  ``DiversificationEngine(config=...)`` and
-  ``kernel_for_instance(..., config=...)`` consume it; it is the only
-  way to pass engine policy (the loose-kwarg shim deprecated in 1.2.0
-  was removed in 1.3.0).
+  ``DiversificationEngine(config=...)``, ``ScoringKernel(...,
+  config=...)`` and ``kernel_for_instance(..., config=...)`` consume
+  it; it is the only way to pass engine policy (the engine's loose
+  kwargs were removed in 1.3.0, the kernel's in 1.4.0), and
+  :meth:`EngineConfig.validate` is the only place a knob is checked.
 * :class:`DiversifyRequest` — one diversification request: either an
   in-process :class:`~repro.core.instance.DiversificationInstance` or a
   wire-friendly ``(workload, params)`` pair resolved through the
@@ -139,10 +140,10 @@ class EngineConfig:
       ``block_size`` — rows per tile of the blocked construction;
     * ``max_resident_tiles`` / ``max_resident_bytes`` — LRU bound on
       tiles resident in memory (tiled only; evicted tiles rebuild on
-      touch); ``spill_dir`` — spill evicted tiles to disk instead of
-      rebuilding them; ``spill_mode`` — how spilled tiles come back
-      (``"file"`` default rehydrates whole tiles, ``"mmap"`` reads row
-      windows from a per-kernel segment file, byte-exact either way);
+      touch); ``spill_dir`` — spill evicted tiles to one append-only
+      segment file per kernel under this directory instead of
+      rebuilding them: spilled row reads are one positioned read each,
+      byte-exact, and a spill that fails degrades to rebuild-on-touch;
     * ``patch_threshold`` — largest stale-kernel delta (fraction of n)
       that is patched in place rather than rebuilt;
     * ``cache_size`` — LRU bound on live kernels per engine;
@@ -161,7 +162,6 @@ class EngineConfig:
     max_resident_tiles: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
-    spill_mode: str | None = None
     block_size: int | None = None
     patch_threshold: float = 0.5
     cache_size: int = 8
@@ -172,8 +172,9 @@ class EngineConfig:
     def validate(self) -> "EngineConfig":
         """Check the knob combination; raises :class:`ApiError`.
 
-        The messages mirror the engine's historical constructor errors
-        (the engine re-raises them as ``EngineError``).
+        The one place a policy knob is checked: the engine re-raises
+        these errors as ``EngineError`` and the kernel as
+        ``KernelError``; storage reads the validated knobs as they are.
         """
         from .engine.storage import STORAGE_DTYPES, STORAGE_KINDS
 
@@ -216,32 +217,17 @@ class EngineConfig:
             budget = getattr(self, name)
             if budget is not None and budget < 1:
                 raise ApiError(f"{name} must be >= 1, got {budget}")
-        if self.spill_mode is not None:
-            from .engine.storage import SPILL_MODES
-
-            if self.spill_mode not in SPILL_MODES:
-                raise ApiError(
-                    f"unknown spill_mode {self.spill_mode!r}; "
-                    f"choose one of {SPILL_MODES}"
-                )
-            if self.spill_mode == "mmap" and self.spill_dir is None:
-                raise ApiError(
-                    "spill_mode='mmap' maps spilled tiles back from disk "
-                    "and needs spill_dir set"
-                )
         if (self.storage or "dense") == "dense" and (
             self.max_resident_tiles is not None
             or self.max_resident_bytes is not None
             or self.spill_dir is not None
-            or self.spill_mode is not None
         ):
             # Sketched kernels keep their exact-read fallback on a tiled
             # grid, so budgets apply there too; only the eager dense
             # layout has nothing to bound.
             raise ApiError(
                 "dense storage is one eager allocation and cannot spill; "
-                "pass storage='tiled' for tile budgets / spill_dir / "
-                "spill_mode"
+                "pass storage='tiled' for tile budgets / spill_dir"
             )
         if (self.dtype or "float64") != "float64" and self.storage == "sketched":
             raise ApiError(
@@ -289,7 +275,7 @@ class EngineConfig:
         per-config engine table, equality against ``EngineConfig()`` —
         sees one identity per *behavior* rather than per spelling.
         """
-        from .engine.kernel import DEFAULT_BLOCK_SIZE
+        from .engine.storage import DEFAULT_BLOCK_SIZE
 
         overrides: dict[str, Any] = {}
         if self.storage == "dense":
@@ -298,8 +284,6 @@ class EngineConfig:
             overrides["dtype"] = None
         if self.workers == 1:
             overrides["workers"] = None
-        if self.spill_mode == "file":
-            overrides["spill_mode"] = None
         if self.block_size == DEFAULT_BLOCK_SIZE:
             overrides["block_size"] = None
         if self.landmarks == "uniform":
@@ -322,7 +306,7 @@ class EngineConfig:
             name: value
             for name in ("storage", "dtype", "workers",
                          "max_resident_tiles", "max_resident_bytes",
-                         "spill_dir", "spill_mode", "block_size",
+                         "spill_dir", "block_size",
                          "patch_threshold", "cache_size",
                          "sketch_columns", "landmarks", "approx")
             if (value := getattr(args, name, None)) is not None
@@ -337,7 +321,7 @@ class EngineConfig:
         variables (``REPRO_STORAGE``, ``REPRO_DTYPE``, ``REPRO_WORKERS``
         — an int or ``auto`` —, ``REPRO_MAX_RESIDENT_TILES``,
         ``REPRO_MAX_RESIDENT_BYTES``, ``REPRO_SPILL_DIR``,
-        ``REPRO_SPILL_MODE``, ``REPRO_BLOCK_SIZE``, ``REPRO_PATCH_THRESHOLD``,
+        ``REPRO_BLOCK_SIZE``, ``REPRO_PATCH_THRESHOLD``,
         ``REPRO_CACHE_SIZE``, ``REPRO_SKETCH_COLUMNS``,
         ``REPRO_LANDMARKS``, ``REPRO_APPROX``) — the deployment-facing
         twin of :meth:`from_args`."""
@@ -445,17 +429,9 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         "--spill-dir",
         default=None,
         metavar="DIR",
-        help="spill evicted tiles to files under DIR instead of "
-        "rebuilding them on touch (tiled storage with a tile budget)",
-    )
-    parser.add_argument(
-        "--spill-mode",
-        choices=["file", "mmap"],
-        default=None,
-        help="how spilled tiles come back: file (default; rehydrate "
-        "whole tiles) or mmap (row reads map only the bytes they need "
-        "from a per-kernel segment file; byte-exact; requires "
-        "--spill-dir)",
+        help="spill evicted tiles to one segment file per kernel under "
+        "DIR instead of rebuilding them on touch; a spilled row is read "
+        "back alone, without its tile (tiled storage with a tile budget)",
     )
     parser.add_argument(
         "--block-size",

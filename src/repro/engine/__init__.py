@@ -30,14 +30,16 @@ plain callables), and the distance matrix is assembled from tiled
 Where the matrix *lives* is pluggable (:mod:`repro.engine.storage`):
 :class:`DenseStorage` is the historical single contiguous float64
 allocation, :class:`TiledStorage` keeps it as a lazy grid of tiles —
-built on first touch, optionally in parallel (``workers=``; the
+built on first touch, optionally in parallel (``workers``; the
 backend picks the fan-out in :mod:`repro.engine.parallel` — threads on
 NumPy, a warm process pool on pure Python), optionally float32 at rest
-(``dtype=``), optionally LRU-bounded in memory (``max_resident_tiles=``
-/ ``max_resident_bytes=`` with rebuild-on-touch or ``spill_dir=`` disk
-spill) — selected by the
-``storage``/``dtype``/``workers`` knobs on :class:`ScoringKernel`,
-:func:`kernel_for_instance` and :class:`DiversificationEngine`.
+(``dtype``), optionally LRU-bounded in memory (``max_resident_tiles``
+/ ``max_resident_bytes``, with rebuild-on-touch, or with ``spill_dir``
+an append-only spill segment that row reads are served from).  One
+:class:`~repro.api.EngineConfig` selects all of it: pass it as
+``config=`` to :class:`ScoringKernel`, :func:`kernel_for_instance` or
+:class:`DiversificationEngine`; it is validated once and held by
+reference.
 
 Whether a matrix is needed *at all* is negotiated: selectors declare a
 :class:`~repro.algorithms.substrate.KernelAccess` level, and kernels
@@ -61,7 +63,6 @@ from .engine import (
     variants_grid,
 )
 from .kernel import (
-    DEFAULT_BLOCK_SIZE,
     KernelError,
     ScoringKernel,
     kernel_for_instance,
@@ -74,7 +75,7 @@ from .parallel import (
     warm_pool_registry,
 )
 from .storage import (
-    SPILL_MODES,
+    DEFAULT_BLOCK_SIZE,
     STORAGE_DTYPES,
     STORAGE_KINDS,
     DenseStorage,
@@ -96,7 +97,6 @@ __all__ = [
     "KernelDelta",
     "KernelError",
     "KernelStorage",
-    "SPILL_MODES",
     "STORAGE_DTYPES",
     "STORAGE_KINDS",
     "ScoringKernel",

@@ -65,6 +65,7 @@ from ..relational.schema import Database, Relation, Row
 from ..retrieval import DEFAULT_POOL_SIZE, CandidateRetriever, RetrievalResult
 from .kernel import ScoringKernel, kernel_for_instance
 from .parallel import warm_pool_registry
+from .storage import STORAGE_COUNTERS
 from .updates import compute_delta
 
 SearchResult = tuple[float, tuple[Row, ...]]
@@ -280,7 +281,7 @@ class DiversificationEngine:
     answer-set size, that a stale cached kernel is delta-patched for
     (larger deltas rebuild from scratch — 0 disables patching), and the
     storage knobs (``storage`` / ``dtype`` / ``workers`` / tile budgets
-    / ``spill_dir`` / ``spill_mode`` / ``block_size`` / the sketch plan,
+    / ``spill_dir`` / ``block_size`` / the sketch plan,
     see :mod:`repro.engine.storage`) apply to every kernel this engine
     builds.  ``workers`` is the only parallelism knob: the backend
     decides how a build fans out over it (:mod:`repro.engine.parallel`).
@@ -338,20 +339,11 @@ class DiversificationEngine:
         shape, so this sums the numeric counters across all storage
         kinds (dense kernels contribute their resident bytes; deferred
         kernels contribute zeros)."""
-        totals = {
-            "evictions": 0,
-            "spills": 0,
-            "spill_loads": 0,
-            "rebuilds": 0,
-            "mmap_reads": 0,
-            "bytes_mapped": 0,
-            "resident_tiles": 0,
-            "resident_bytes": 0,
-        }
+        totals = dict.fromkeys(STORAGE_COUNTERS, 0)
         for kernel in self._cache.values():
             stats = kernel.storage_stats()
             for name in totals:
-                totals[name] += stats.get(name, 0)
+                totals[name] += stats[name]
         return totals
 
     # -- kernel cache -----------------------------------------------------

@@ -24,11 +24,12 @@ rows per tile, symmetric tiles computed once and mirrored), so a
 vectorizing provider fills it with a handful of array operations instead
 of n(n−1)/2 interpreter-bound calls.
 
-*Where* the matrix lives is pluggable (:mod:`repro.engine.storage`):
+*Where* the matrix lives is pluggable (:mod:`repro.engine.storage`),
+planned by the kernel's :class:`~repro.api.EngineConfig`:
 ``storage="dense"`` (default) keeps the historical single contiguous
 float64 allocation; ``storage="tiled"`` keeps the matrix as a lazy grid
 of tiles — built on first touch, optionally in parallel
-(``workers=``), optionally narrowed to float32 at rest (``dtype=``) —
+(``workers``), optionally narrowed to float32 at rest (``dtype``) —
 which removes the O(n²)-contiguous-allocation ceiling on pool size.
 Every matrix read/write below delegates through the storage object, and
 reductions always run in float64 regardless of the storage dtype.
@@ -48,6 +49,7 @@ import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from ..api import ApiError, EngineConfig
 from ..core.evaluator import (
     max_min_value,
     max_sum_value,
@@ -55,13 +57,11 @@ from ..core.evaluator import (
     mono_item_score,
 )
 from ..core.objectives import Objective, ObjectiveError, ObjectiveKind
-from ..core.providers import LANDMARK_STRATEGIES, provider_for
+from ..core.providers import provider_for
 from ..relational.schema import Row, row_sort_key
-from .parallel import validate_workers, warm_pool_registry
+from .parallel import warm_pool_registry
 from .storage import (
-    SPILL_MODES,
-    STORAGE_DTYPES,
-    STORAGE_KINDS,
+    STORAGE_COUNTERS,
     KernelStorage,
     SketchedStorage,
     TiledStorage,
@@ -75,12 +75,6 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI cell
     _np = None
-
-#: Rows per tile of the blocked distance-matrix construction.  Large
-#: enough that NumPy per-call overhead amortizes, small enough that a
-#: tile's feature matrices stay cache-friendly.
-DEFAULT_BLOCK_SIZE = 256
-
 
 def numpy_available() -> bool:
     """True when the NumPy backend can be used in this interpreter."""
@@ -115,9 +109,10 @@ class ScoringKernel:
     cost, keeping the kernel element-wise equal to a fresh rebuild.
 
     The distance matrix lives behind a
-    :class:`~repro.engine.storage.KernelStorage` selected by the
-    ``storage`` / ``dtype`` / ``workers`` policy knobs; selectors only
-    ever touch the accessor methods below, so the storage layout is
+    :class:`~repro.engine.storage.KernelStorage` planned by ``config``
+    (a :class:`~repro.api.EngineConfig`, default ``EngineConfig()``),
+    validated once here and then held by reference; selectors only ever
+    touch the accessor methods below, so the storage layout is
     invisible to them.
     """
 
@@ -127,16 +122,7 @@ class ScoringKernel:
         "relevance",
         "distance",
         "provider",
-        "block_size",
-        "storage_kind",
-        "dtype",
-        "workers",
-        "max_resident_tiles",
-        "max_resident_bytes",
-        "spill_dir",
-        "spill_mode",
-        "sketch_columns",
-        "landmarks",
+        "config",
         "answers",
         "n",
         "backend",
@@ -153,16 +139,7 @@ class ScoringKernel:
         instance: "DiversificationInstance",
         use_numpy: bool | None = None,
         defer_distances: bool = False,
-        block_size: int | None = None,
-        storage: str | None = None,
-        dtype: str | None = None,
-        workers: "int | str | None" = None,
-        max_resident_tiles: int | None = None,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | None = None,
-        spill_mode: str | None = None,
-        sketch_columns: int | None = None,
-        landmarks: str | None = None,
+        config: EngineConfig | None = None,
     ):
         if use_numpy is None:
             use_numpy = _np is not None
@@ -171,109 +148,19 @@ class ScoringKernel:
                 "use_numpy=True requested but numpy is not installed; "
                 "pass use_numpy=None (auto) or False for the pure-Python backend"
             )
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
-        elif block_size < 1:
-            raise KernelError(f"block_size must be >= 1, got {block_size}")
-        if storage is None:
-            storage = "dense"
-        if storage not in STORAGE_KINDS:
-            raise KernelError(
-                f"unknown storage {storage!r}; choose one of {STORAGE_KINDS}"
-            )
-        if dtype is None:
-            dtype = "float64"
-        if dtype not in STORAGE_DTYPES:
-            raise KernelError(
-                f"unknown dtype {dtype!r}; choose one of {STORAGE_DTYPES}"
-            )
-        if storage == "dense" and dtype != "float64":
-            raise KernelError(
-                "dense storage is float64-only (the bit-exact parity "
-                "baseline); use storage='tiled' for dtype='float32'"
-            )
-        workers = validate_workers(workers, KernelError)
-        if max_resident_tiles is not None and max_resident_tiles < 1:
-            raise KernelError(
-                f"max_resident_tiles must be >= 1, got {max_resident_tiles}"
-            )
-        if max_resident_bytes is not None and max_resident_bytes < 1:
-            raise KernelError(
-                f"max_resident_bytes must be >= 1, got {max_resident_bytes}"
-            )
-        if spill_mode is not None and spill_mode not in SPILL_MODES:
-            raise KernelError(
-                f"unknown spill_mode {spill_mode!r}; choose one of {SPILL_MODES}"
-            )
-        if spill_mode == "mmap" and spill_dir is None:
-            raise KernelError(
-                "spill_mode='mmap' maps spilled tiles back from disk and "
-                "needs spill_dir set"
-            )
-        if storage == "dense":
-            # "auto" is allowed everywhere (it resolves at build time,
-            # which for dense means "serial"); only an explicit request
-            # for multi-worker or spilling builds is a contradiction with
-            # the eager contiguous layout.
-            if isinstance(workers, int) and workers > 1:
-                raise KernelError(
-                    "dense storage builds serially; use storage='tiled' for "
-                    f"workers={workers}"
-                )
-            if (
-                max_resident_tiles is not None
-                or max_resident_bytes is not None
-                or spill_dir is not None
-                or spill_mode is not None
-            ):
-                raise KernelError(
-                    "dense storage is one eager allocation and cannot "
-                    "spill; use storage='tiled' for tile budgets / "
-                    "spill_dir / spill_mode"
-                )
-        if storage == "sketched" and dtype != "float64":
-            raise KernelError(
-                "sketched storage keeps its landmark columns (and the "
-                "tiled exact-read fallback) in float64; dtype="
-                f"{dtype!r} is not supported with storage='sketched'"
-            )
-        if sketch_columns is not None:
-            if storage != "sketched":
-                raise KernelError(
-                    "sketch_columns only applies to storage='sketched', "
-                    f"got storage={storage!r}"
-                )
-            if sketch_columns < 2:
-                raise KernelError(
-                    f"sketch_columns must be >= 2, got {sketch_columns}"
-                )
-        if landmarks is not None:
-            if storage != "sketched":
-                raise KernelError(
-                    "landmarks only applies to storage='sketched', "
-                    f"got storage={storage!r}"
-                )
-            if landmarks not in LANDMARK_STRATEGIES:
-                raise KernelError(
-                    f"unknown landmark strategy {landmarks!r}; choose one "
-                    f"of {LANDMARK_STRATEGIES}"
-                )
+        if config is None:
+            config = EngineConfig()
+        try:
+            config.validate()
+        except ApiError as exc:
+            raise KernelError(str(exc)) from None
         objective = instance.objective
         self.query = instance.query
         self.db = instance.db
         self.relevance = objective.relevance
         self.distance = objective.distance
         self.provider = provider_for(objective)
-        self.block_size = int(block_size)
-        self.storage_kind = storage
-        self.dtype = dtype
-        self.workers = workers
-        self.max_resident_tiles = max_resident_tiles
-        self.max_resident_bytes = max_resident_bytes
-        self.spill_dir = spill_dir
-        self.spill_mode = spill_mode
-        self.sketch_columns = sketch_columns
-        self.landmarks = landmarks
+        self.config = config
         self.answers: tuple[Row, ...] = tuple(instance.answers())
         self.n = len(self.answers)
         self._index = _first_occurrence_index(self.answers)
@@ -297,7 +184,7 @@ class ScoringKernel:
         self._storage: KernelStorage | None = None
         self._sketch: SketchedStorage | None = None
         self._row_sums = None
-        if not defer_distances and storage != "sketched":
+        if not defer_distances and config.storage != "sketched":
             self._materialize_distances()
         self._item_scores_cache = {}
 
@@ -338,19 +225,11 @@ class ScoringKernel:
         selector actually touches (typically none) are ever scored, and
         the landmark columns live in :meth:`sketch` instead.
         """
-        kind = "tiled" if self.storage_kind == "sketched" else self.storage_kind
         self._storage = make_storage(
-            kind,
             self.n,
             self._build_distance_block,
             self.backend == "numpy",
-            self.block_size,
-            dtype=self.dtype,
-            workers=self.workers,
-            max_resident_tiles=self.max_resident_tiles,
-            max_resident_bytes=self.max_resident_bytes,
-            spill_dir=self.spill_dir,
-            spill_mode=self.spill_mode,
+            self.config,
             pool_source=self._pool_snapshot,
         )
         self._row_sums = None
@@ -386,24 +265,13 @@ class ScoringKernel:
         """Uniform storage accounting for the distance storage.
 
         Every storage kind reports the same shape — ``kind`` plus the
-        full counter set (``evictions``/``spills``/``spill_loads``/
-        ``rebuilds``/``mmap_reads``/``bytes_mapped``/``resident_tiles``/
-        ``resident_bytes``) — so aggregators (`/stats`, benches) never
-        special-case.  Dense storage is one resident "tile" of n²
-        float64s; a ``defer_distances`` kernel that has not allocated
-        storage yet reports ``kind='deferred'`` with zero counters.
+        full :data:`~repro.engine.storage.STORAGE_COUNTERS` set — so
+        aggregators (`/stats`, benches) never special-case.  Dense
+        storage is one resident "tile" of n² float64s; a
+        ``defer_distances`` kernel that has not allocated storage yet
+        reports ``kind='deferred'`` with zero counters.
         """
-        stats = {
-            "kind": "deferred",
-            "evictions": 0,
-            "spills": 0,
-            "spill_loads": 0,
-            "rebuilds": 0,
-            "mmap_reads": 0,
-            "bytes_mapped": 0,
-            "resident_tiles": 0,
-            "resident_bytes": 0,
-        }
+        stats = {"kind": "deferred", **dict.fromkeys(STORAGE_COUNTERS, 0)}
         storage = self._storage
         if storage is None:
             return stats
@@ -420,12 +288,12 @@ class ScoringKernel:
 
     @property
     def effective_sketch_columns(self) -> int:
-        """The landmark count m the sketch will use: the configured
+        """The landmark count m the sketch will use: the config's
         ``sketch_columns``, else ``max(16, ⌊√n⌋)`` — O(n^1.5) total
         sketch memory/scoring, ~1% of the dense matrix at n = 10,000 —
         clamped to ``[min(2, n), n]`` so m ≥ n snapshots fall back to
         exact dense semantics (every row a landmark)."""
-        m = self.sketch_columns
+        m = self.config.sketch_columns
         if m is None:
             m = max(16, math.isqrt(max(self.n, 1)))
         return min(self.n, max(2, m))
@@ -439,7 +307,7 @@ class ScoringKernel:
 
         Landmark positions come from the provider's
         :meth:`~repro.core.providers.ScoringProvider.select_landmarks`
-        hook (strategy = the kernel's ``landmarks`` knob, default
+        hook (strategy = the config's ``landmarks`` knob, default
         ``uniform``), and the n×m columns are scored exactly through the
         same ``distance_block`` calls a full build would make — just m
         columns of them.  Any ``storage`` kind may ask for a sketch, but
@@ -447,7 +315,7 @@ class ScoringKernel:
         """
         if self._sketch is None:
             use_numpy = self.backend == "numpy"
-            strategy = self.landmarks or "uniform"
+            strategy = self.config.landmarks or "uniform"
             positions = self.provider.select_landmarks(
                 self.answers,
                 [float(v) for v in self._rel],
@@ -470,9 +338,8 @@ class ScoringKernel:
                 positions,
                 columns_builder,
                 use_numpy,
-                self.block_size,
+                self.config,
                 strategy,
-                workers=self.workers,
                 pool_source=self._pool_snapshot,
             )
         return self._sketch
@@ -537,33 +404,6 @@ class ScoringKernel:
             return max_sum_value(indices, objective.lam, self.relevance_of, dist_at)
         return max_min_value(indices, objective.lam, self.relevance_of, dist_at)
 
-    @classmethod
-    def from_instance(
-        cls,
-        instance: "DiversificationInstance",
-        use_numpy: bool | None = None,
-        block_size: int | None = None,
-        storage: str | None = None,
-        dtype: str | None = None,
-        workers: "int | str | None" = None,
-        max_resident_tiles: int | None = None,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | None = None,
-        spill_mode: str | None = None,
-    ) -> "ScoringKernel":
-        return cls(
-            instance,
-            use_numpy=use_numpy,
-            block_size=block_size,
-            storage=storage,
-            dtype=dtype,
-            workers=workers,
-            max_resident_tiles=max_resident_tiles,
-            max_resident_bytes=max_resident_bytes,
-            spill_dir=spill_dir,
-            spill_mode=spill_mode,
-        )
-
     # -- identity ---------------------------------------------------------
 
     def matches(self, instance: "DiversificationInstance") -> bool:
@@ -585,7 +425,7 @@ class ScoringKernel:
         if not self.matches(instance):
             raise KernelError(
                 "kernel was built for a different (query, db, δ_rel, δ_dis); "
-                "build one with ScoringKernel.from_instance(instance)"
+                "build one with ScoringKernel(instance)"
             )
 
     def is_fresh_for(self, instance: "DiversificationInstance") -> bool:
@@ -999,10 +839,11 @@ class ScoringKernel:
         return modular_value(indices, scores.__getitem__)
 
     def __repr__(self) -> str:
+        dtype = self.config.dtype
         return (
             f"ScoringKernel(Q={self.query.name}, n={self.n}, "
-            f"backend={self.backend}, storage={self.storage_kind}"
-            + (f":{self.dtype}" if self.dtype != "float64" else "")
+            f"backend={self.backend}, storage={self.config.storage or 'dense'}"
+            + (f":{dtype}" if dtype not in (None, "float64") else "")
             + ")"
         )
 
@@ -1010,15 +851,7 @@ class ScoringKernel:
 def kernel_for_instance(
     instance: "DiversificationInstance",
     use_numpy: bool | None = None,
-    block_size: int | None = None,
-    storage: str | None = None,
-    dtype: str | None = None,
-    workers: "int | str | None" = None,
-    max_resident_tiles: int | None = None,
-    max_resident_bytes: int | None = None,
-    spill_dir: str | None = None,
-    spill_mode: str | None = None,
-    config=None,
+    config: EngineConfig | None = None,
     access: str | None = None,
 ) -> ScoringKernel:
     """Build a kernel sized to the instance's objective — and, when the
@@ -1039,29 +872,10 @@ def kernel_for_instance(
 
     Every non-engine entry point (the legacy row-based algorithm
     signatures, the dispersion view) builds kernels through here so the
-    deferral policy lives in one place, and the ``storage`` / ``dtype``
-    / ``workers`` / sketch policy knobs thread through unchanged.
-    ``config`` (a :class:`repro.api.EngineConfig`) supplies any knob not
-    passed explicitly — the engine hands its whole policy bundle through
-    this parameter.
+    deferral policy lives in one place; ``config`` (a
+    :class:`repro.api.EngineConfig`) is the storage policy, handed to the
+    kernel as is — the engine passes its own.
     """
-    sketch_columns = None
-    landmarks = None
-    if config is not None:
-        block_size = block_size if block_size is not None else config.block_size
-        storage = storage if storage is not None else config.storage
-        dtype = dtype if dtype is not None else config.dtype
-        workers = workers if workers is not None else config.workers
-        if max_resident_tiles is None:
-            max_resident_tiles = getattr(config, "max_resident_tiles", None)
-        if max_resident_bytes is None:
-            max_resident_bytes = getattr(config, "max_resident_bytes", None)
-        if spill_dir is None:
-            spill_dir = getattr(config, "spill_dir", None)
-        if spill_mode is None:
-            spill_mode = getattr(config, "spill_mode", None)
-        sketch_columns = getattr(config, "sketch_columns", None)
-        landmarks = getattr(config, "landmarks", None)
     objective = instance.objective
     defer = objective.kind is ObjectiveKind.MAX_SUM and objective.relevance_only
     if access is not None:
@@ -1071,17 +885,5 @@ def kernel_for_instance(
         # *more* than the historical policy, never materialize earlier.
         defer = defer or not KernelAccess.requires_matrix(access)
     return ScoringKernel(
-        instance,
-        use_numpy=use_numpy,
-        defer_distances=defer,
-        block_size=block_size,
-        storage=storage,
-        dtype=dtype,
-        workers=workers,
-        max_resident_tiles=max_resident_tiles,
-        max_resident_bytes=max_resident_bytes,
-        spill_dir=spill_dir,
-        spill_mode=spill_mode,
-        sketch_columns=sketch_columns,
-        landmarks=landmarks,
+        instance, use_numpy=use_numpy, defer_distances=defer, config=config
     )

@@ -120,8 +120,8 @@ def validate_workers(workers, error=ValueError):
     Returns the knob *unresolved* — ``"auto"`` stays symbolic (hashable
     config keys, host-independent canonical forms) until a build actually
     needs a pool size, at which point :func:`resolve_workers` pins it.
-    ``error`` is the exception class to raise (each layer keeps its own:
-    ``StorageError``, ``KernelError``, ``ConfigError``).
+    ``error`` is the exception class to raise
+    (:meth:`~repro.api.EngineConfig.validate` raises ``ApiError``).
     """
     if workers is None or workers == "auto":
         return workers

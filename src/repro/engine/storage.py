@@ -18,10 +18,16 @@ that seam: a :class:`KernelStorage` contract plus two implementations.
   NumPy backend, so they cost no memory), optionally **in parallel**
   (:meth:`TiledStorage.ensure_all` fans independent tile builds out
   through :func:`~repro.engine.parallel.build_blocks`: threads on NumPy,
-  a warm process pool on pure Python), and optionally **narrowed** to
+  a warm process pool on pure Python), optionally **narrowed** to
   float32 (``dtype="float32"`` halves storage; every read widens back
   to float64 so reductions and selector arithmetic stay in double
-  precision).
+  precision), and optionally **bounded** (an LRU tile budget whose
+  evicted tiles rebuild on touch, or with ``spill_dir`` go to one
+  append-only segment file that spilled row reads are served from).
+
+Storage reads its knobs off the kernel's :class:`~repro.api.EngineConfig`,
+held by reference; :meth:`~repro.api.EngineConfig.validate` is the one
+place a storage knob is checked.
 
 Exactness contract: with ``dtype="float64"`` a tiled matrix is
 element-wise identical to the dense one — tiles are filled from the same
@@ -42,17 +48,21 @@ narrow dtype exists only at rest.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
-import pickle
 import shutil
 import struct
 import tempfile
 import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
-from .parallel import build_blocks, validate_workers
+from .parallel import build_blocks
+
+if TYPE_CHECKING:
+    from ..api import EngineConfig
 
 try:
     import numpy as _np
@@ -65,27 +75,47 @@ __all__ = [
     "DenseStorage",
     "TiledStorage",
     "SketchedStorage",
+    "DEFAULT_BLOCK_SIZE",
     "STORAGE_KINDS",
     "STORAGE_DTYPES",
-    "SPILL_MODES",
+    "STORAGE_COUNTERS",
     "make_storage",
 ]
 
+_LOG = logging.getLogger(__name__)
+
+#: Rows per tile of the blocked distance-matrix construction.  Large
+#: enough that NumPy per-call overhead amortizes, small enough that a
+#: tile's feature matrices stay cache-friendly.
+DEFAULT_BLOCK_SIZE = 256
+
 #: Recognized ``storage=`` spellings.  ``sketched`` is not a
 #: full-matrix :class:`KernelStorage` — it selects the landmark-column
-#: :class:`SketchedStorage` plan inside the kernel (exact reads fall
-#: back to a lazy tiled grid), so :func:`make_storage` rejects it.
+#: :class:`SketchedStorage` plan inside the kernel, whose exact reads
+#: fall back to a lazy tiled grid.
 STORAGE_KINDS = ("dense", "tiled", "sketched")
 
 #: Recognized ``dtype=`` spellings (float32 is tiled-only).
 STORAGE_DTYPES = ("float64", "float32")
 
-#: Recognized ``spill_mode=`` spellings: how evicted tiles reach (and
-#: come back from) ``spill_dir``.  ``file`` is one whole-tile file per
-#: tile, rehydrated on touch; ``mmap`` is one per-kernel segment file
-#: whose row slices are read in place (``np.memmap`` windows on the
-#: NumPy backend, ``struct`` over a seeked handle on pure Python).
-SPILL_MODES = ("file", "mmap")
+#: The counters every storage kind reports through
+#: :meth:`~repro.engine.kernel.ScoringKernel.storage_stats`, summed by
+#: the engine and ``/stats``.  ``mmap_reads`` counts positioned reads of
+#: one row (or one value) out of the spill segment; ``bytes_mapped``
+#: counts every byte read back from it, whole-tile ``spill_loads``
+#: included; ``spill_failures`` counts evicted tiles that could not be
+#: written (they rebuild on touch instead).
+STORAGE_COUNTERS = (
+    "evictions",
+    "spills",
+    "spill_failures",
+    "spill_loads",
+    "rebuilds",
+    "mmap_reads",
+    "bytes_mapped",
+    "resident_tiles",
+    "resident_bytes",
+)
 
 #: ``BlockBuilder(a0, a1, b0, b1)`` returns the provider distance block
 #: for answer rows ``[a0:a1] × [b0:b1]`` — a float64 NumPy array on the
@@ -96,7 +126,8 @@ BlockBuilder = Callable[[int, int, int, int], object]
 
 
 class StorageError(ValueError):
-    """Raised on kernel-storage misuse (bad kind/dtype/workers)."""
+    """Raised on kernel-storage misuse (a sketch without enough
+    landmark columns)."""
 
 
 def _float32_round(value: float) -> float:
@@ -377,6 +408,13 @@ class DenseStorage(KernelStorage):
         return DenseStorage._from_matrix(new_dist, m, use_numpy)
 
 
+def _close_segment(fd: int, path: str) -> None:
+    """The spill segment's finalizer: close its descriptor and remove
+    its ``tiles-*`` directory."""
+    os.close(fd)
+    shutil.rmtree(path, ignore_errors=True)
+
+
 class TiledStorage(KernelStorage):
     """A lazy grid of ``block_size``-square tiles.
 
@@ -388,24 +426,28 @@ class TiledStorage(KernelStorage):
     through IEEE binary32, so both backends store the same numbers.
     ``workers`` > 1 (or ``"auto"``) parallelizes :meth:`ensure_all` over
     independent tile builds — threads on NumPy, a warm process pool on
-    pure Python when the ``pool_source`` snapshot pickles, serial
-    otherwise (see :func:`~repro.engine.parallel.build_blocks`).
+    pure Python when the ``pool_source`` snapshot can ship to worker
+    processes, serial otherwise (see
+    :func:`~repro.engine.parallel.build_blocks`).
 
     **Tile spilling** bounds resident memory below O(n²): with
     ``max_resident_tiles`` and/or ``max_resident_bytes`` set, built upper
-    tiles live in an LRU; evicted tiles are rebuilt on next touch from
-    the same provider calls (identical floats by the provider exactness
-    contract), or — when ``spill_dir`` is set — written to disk once on
-    first eviction and reloaded exactly.  ``spill_mode="file"`` (the
-    default) writes one whole-tile file per tile (raw IEEE bytes on
-    NumPy, pickle on pure Python) and rehydrates the whole tile on
-    touch; ``spill_mode="mmap"`` appends tiles to one per-kernel segment
-    file in fixed-width little-endian IEEE on *both* backends, and
-    row-level reads (``row64`` / ``get`` behind ``copy_distance_row``
-    and ``best_pair`` gathers) are served straight out of the segment —
-    an ``np.memmap`` window or a ``struct`` unpack over a seeked handle
-    — touching only the bytes they need, without rehydrating the tile or
-    disturbing the LRU.  Both modes round-trip IEEE-exactly.
+    tiles live in an LRU, and an evicted tile is rebuilt on next touch
+    from the same provider calls (identical floats by the provider
+    exactness contract) — unless ``spill_dir`` is set.  Then its first
+    eviction appends it to one segment file per storage, in a
+    ``tiles-*`` directory under ``spill_dir``, as fixed-width
+    little-endian IEEE values on both backends: the upper tile row by
+    row and, off the diagonal, its transpose — the rows of the mirror
+    tile.  Every spilled row read (``row64`` and ``get``, beneath the
+    kernel's row reads) is then one ``os.pread`` of at most
+    ``block_size`` values, for upper and mirror tiles alike, without
+    rehydrating the tile or disturbing the LRU; whole-tile consumers
+    (gathers, ``remap`` and NumPy ``row_sums64``) load the upper copy
+    back into the LRU.  Reads round-trip IEEE-exactly.  A spill that
+    fails (an unusable directory, a full disk) is logged once and
+    counted in ``spill_failures``; the tile stays evicted and rebuilds
+    on touch.
     ``tiles_built`` / ``is_fully_built`` track *ever-built* tiles, so
     laziness observability and remap semantics are unchanged by
     eviction.
@@ -416,13 +458,9 @@ class TiledStorage(KernelStorage):
     __slots__ = (
         "n",
         "backend",
+        "config",
         "dtype",
         "block_size",
-        "workers",
-        "max_resident_tiles",
-        "max_resident_bytes",
-        "spill_dir",
-        "spill_mode",
         "_builder",
         "_pool_source",
         "_nb",
@@ -430,13 +468,10 @@ class TiledStorage(KernelStorage):
         "_built_upper",
         "_lru",
         "_resident_bytes",
-        "_spilled",
-        "_spill_path",
+        "_itemsize",
+        "_segment_fd",
         "_segment_offsets",
         "_segment_size",
-        "_segment_mm",
-        "_segment_mm_items",
-        "_segment_fh",
         "_counters",
         "__weakref__",
     )
@@ -446,76 +481,45 @@ class TiledStorage(KernelStorage):
         n: int,
         builder: BlockBuilder,
         use_numpy: bool,
-        block_size: int,
-        dtype: str = "float64",
-        workers: "int | str | None" = None,
-        max_resident_tiles: int | None = None,
-        max_resident_bytes: int | None = None,
-        spill_dir: str | None = None,
-        spill_mode: str | None = None,
+        config: "EngineConfig",
         pool_source: Callable[[], tuple] | None = None,
     ):
-        if dtype not in STORAGE_DTYPES:
-            raise StorageError(
-                f"unknown storage dtype {dtype!r}; choose one of {STORAGE_DTYPES}"
-            )
-        if max_resident_tiles is not None and max_resident_tiles < 1:
-            raise StorageError(
-                f"max_resident_tiles must be >= 1, got {max_resident_tiles}"
-            )
-        if max_resident_bytes is not None and max_resident_bytes < 1:
-            raise StorageError(
-                f"max_resident_bytes must be >= 1, got {max_resident_bytes}"
-            )
-        if spill_mode is not None and spill_mode not in SPILL_MODES:
-            raise StorageError(
-                f"unknown spill_mode {spill_mode!r}; choose one of {SPILL_MODES}"
-            )
-        if spill_mode == "mmap" and spill_dir is None:
-            raise StorageError(
-                "spill_mode='mmap' maps spilled tiles back from disk and "
-                "needs spill_dir set"
-            )
         self.n = n
         self.backend = "numpy" if use_numpy else "python"
-        self.dtype = dtype
-        self.block_size = block_size
-        self.workers = validate_workers(workers, StorageError)
-        self.max_resident_tiles = max_resident_tiles
-        self.max_resident_bytes = max_resident_bytes
-        self.spill_dir = spill_dir
-        self.spill_mode = spill_mode or "file"
+        self.config = config
+        self.dtype = config.dtype or "float64"
+        self.block_size = config.block_size or DEFAULT_BLOCK_SIZE
         self._builder = builder
         self._pool_source = pool_source
-        self._nb = -(-n // block_size) if n else 0
+        self._nb = -(-n // self.block_size) if n else 0
         self._tiles: dict[tuple[int, int], object] = {}
         self._built_upper: set[tuple[int, int]] = set()
-        budgeted = max_resident_tiles is not None or max_resident_bytes is not None
+        budgeted = (
+            config.max_resident_tiles is not None
+            or config.max_resident_bytes is not None
+        )
         self._lru: OrderedDict[tuple[int, int], int] | None = (
             OrderedDict() if budgeted else None
         )
         self._resident_bytes = 0
-        self._spilled: set[tuple[int, int]] = set()
-        self._spill_path: str | None = None
+        # Bytes per stored value, on disk as at rest.
+        self._itemsize = 4 if self.dtype == "float32" else 8
+        self._segment_fd: int | None = None
+        # Byte offset of every spilled logical tile, upper and mirror.
         self._segment_offsets: dict[tuple[int, int], int] = {}
         self._segment_size = 0
-        self._segment_mm = None
-        self._segment_mm_items = 0
-        self._segment_fh = None
-        self._counters = {
-            "evictions": 0,
-            "spills": 0,
-            "spill_loads": 0,
-            "rebuilds": 0,
-            "mmap_reads": 0,
-            "bytes_mapped": 0,
-        }
+        self._counters = dict.fromkeys(STORAGE_COUNTERS, 0)
 
     # -- tile plumbing ----------------------------------------------------
 
     def _bounds(self, b: int) -> tuple[int, int]:
         lo = b * self.block_size
         return lo, min(lo + self.block_size, self.n)
+
+    def _tile_shape(self, bi: int, bj: int) -> tuple[int, int]:
+        a0, a1 = self._bounds(bi)
+        b0, b1 = self._bounds(bj)
+        return a1 - a0, b1 - b0
 
     def _narrow(self, block):
         """A provider block converted to the storage dtype."""
@@ -570,12 +574,18 @@ class TiledStorage(KernelStorage):
         return mirror
 
     def _revive_upper(self, ui: int, uj: int):
-        """A missing upper tile: spill-load it, rebuild an evicted one
-        from the provider, or build it for the first time."""
+        """A missing upper tile: load it back from the segment, rebuild
+        an evicted one from the provider, or build it for the first
+        time."""
         if (ui, uj) in self._built_upper:
-            if (ui, uj) in self._spilled:
+            offset = self._segment_offsets.get((ui, uj))
+            if offset is not None:
                 self._counters["spill_loads"] += 1
-                return self._load_spill(ui, uj)
+                rows, cols = self._tile_shape(ui, uj)
+                flat = self._segment_read(offset, rows * cols)
+                if self.backend == "numpy":
+                    return flat.reshape(rows, cols)
+                return [list(flat[r * cols : (r + 1) * cols]) for r in range(rows)]
             self._counters["rebuilds"] += 1
         return self._build_upper(ui, uj)
 
@@ -589,17 +599,11 @@ class TiledStorage(KernelStorage):
         return len(tile) * (len(tile[0]) if tile else 0) * 8
 
     def _over_budget(self) -> bool:
-        if (
-            self.max_resident_tiles is not None
-            and len(self._lru) > self.max_resident_tiles
-        ):
+        max_tiles = self.config.max_resident_tiles
+        if max_tiles is not None and len(self._lru) > max_tiles:
             return True
-        if (
-            self.max_resident_bytes is not None
-            and self._resident_bytes > self.max_resident_bytes
-        ):
-            return True
-        return False
+        max_bytes = self.config.max_resident_bytes
+        return max_bytes is not None and self._resident_bytes > max_bytes
 
     def _evict_over_budget(self) -> None:
         # The newest tile always stays resident (its caller holds it),
@@ -610,155 +614,111 @@ class TiledStorage(KernelStorage):
             self._tiles.pop((bj, bi), None)
             self._resident_bytes -= nbytes
             self._counters["evictions"] += 1
-            if self.spill_dir is not None and (bi, bj) not in self._spilled:
-                self._write_spill(bi, bj, tile)
+            if (
+                self.config.spill_dir is not None
+                and (bi, bj) not in self._segment_offsets
+            ):
+                self._spill(bi, bj, tile)
 
-    def _spill_file(self, bi: int, bj: int) -> str:
-        if self._spill_path is None:
-            os.makedirs(self.spill_dir, exist_ok=True)
-            self._spill_path = tempfile.mkdtemp(dir=self.spill_dir, prefix="tiles-")
-            weakref.finalize(self, shutil.rmtree, self._spill_path, True)
-        return os.path.join(self._spill_path, f"{bi}_{bj}.tile")
-
-    def _write_spill(self, bi: int, bj: int, tile) -> None:
-        if self.spill_mode == "mmap":
-            self._append_segment(bi, bj, tile)
-        elif self.backend == "numpy":
-            with open(self._spill_file(bi, bj), "wb") as fh:
-                fh.write(_np.ascontiguousarray(tile).tobytes())
-        else:
-            with open(self._spill_file(bi, bj), "wb") as fh:
-                pickle.dump(tile, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        self._spilled.add((bi, bj))
-        self._counters["spills"] += 1
-
-    def _load_spill(self, bi: int, bj: int):
-        if self.spill_mode == "mmap":
-            return self._load_segment_tile(bi, bj)
-        path = self._spill_file(bi, bj)
-        if self.backend == "numpy":
-            a0, a1 = self._bounds(bi)
-            b0, b1 = self._bounds(bj)
-            target = _np.float32 if self.dtype == "float32" else _np.float64
-            return _np.fromfile(path, dtype=target).reshape(a1 - a0, b1 - b0)
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-
-    # -- mmap spill segment ------------------------------------------------
-
-    @property
-    def _itemsize(self) -> int:
-        return 4 if self.dtype == "float32" else 8
+    # -- the spill segment -------------------------------------------------
 
     @property
     def _pack_fmt(self) -> str:
         return "f" if self.dtype == "float32" else "d"
 
-    def _tile_shape(self, ui: int, uj: int) -> tuple[int, int]:
-        a0, a1 = self._bounds(ui)
-        b0, b1 = self._bounds(uj)
-        return a1 - a0, b1 - b0
-
-    def _segment_file(self) -> str:
-        if self._spill_path is None:
-            self._spill_file(0, 0)  # creates the per-kernel spill dir
-        return os.path.join(self._spill_path, "segment.bin")
-
-    def _append_segment(self, bi: int, bj: int, tile) -> None:
-        """Append one tile's IEEE bytes to the per-kernel segment file.
-
-        Both backends write the identical fixed-width little-endian
-        layout (``<f`` for float32 tiles, ``<d`` for float64): that is
-        what makes a row slice *seekable* — the pure-Python pickle
-        format of ``spill_mode="file"`` can only come back whole."""
-        rows, cols = self._tile_shape(bi, bj)
+    def _encode(self, tile) -> bytes:
+        """A tile's values, row by row, as little-endian IEEE bytes."""
         if self.backend == "numpy":
-            data = _np.ascontiguousarray(tile).tobytes()
-        else:
-            flat = [v for row in tile for v in row]
-            data = struct.pack(f"<{rows * cols}{self._pack_fmt}", *flat)
-        with open(self._segment_file(), "ab") as fh:
-            self._segment_offsets[(bi, bj)] = fh.tell()
-            fh.write(data)
-            self._segment_size = fh.tell()
+            return _np.asarray(tile, dtype=f"<f{self._itemsize}").tobytes()
+        flat = [v for row in tile for v in row]
+        return struct.pack(f"<{len(flat)}{self._pack_fmt}", *flat)
 
-    def _segment_map(self):
-        """The segment as a flat read-only ``np.memmap``, reopened when
-        spills have grown the file past the mapped length."""
-        items = self._segment_size // self._itemsize
-        if self._segment_mm is None or self._segment_mm_items < items:
-            target = _np.float32 if self.dtype == "float32" else _np.float64
-            self._segment_mm = _np.memmap(
-                self._segment_file(), dtype=target, mode="r", shape=(items,)
+    def _open_segment(self) -> None:
+        os.makedirs(self.config.spill_dir, exist_ok=True)
+        path = tempfile.mkdtemp(dir=self.config.spill_dir, prefix="tiles-")
+        try:
+            fd = os.open(
+                os.path.join(path, "segment.bin"),
+                os.O_RDWR | os.O_CREAT | os.O_EXCL,
+                0o600,
             )
-            self._segment_mm_items = items
-        return self._segment_mm
+        except OSError:
+            shutil.rmtree(path, ignore_errors=True)
+            raise
+        self._segment_fd = fd
+        weakref.finalize(self, _close_segment, fd, path)
 
-    def _segment_handle(self):
-        """A persistent read handle on the segment (pure-Python backend;
-        appends through a separate handle stay visible to reads)."""
-        if self._segment_fh is None:
-            self._segment_fh = open(self._segment_file(), "rb")
-        return self._segment_fh
+    def _spill(self, bi: int, bj: int, tile) -> None:
+        """Append evicted upper tile ``(bi, bj)`` to the segment: its
+        rows, then — off the diagonal — the rows of mirror ``(bj, bi)``.
 
-    def _load_segment_tile(self, bi: int, bj: int):
-        """A whole spilled tile back out of the segment (full-tile
-        consumers — ``row_sums64``, remap — still rehydrate)."""
-        offset = self._segment_offsets[(bi, bj)]
-        rows, cols = self._tile_shape(bi, bj)
-        count = rows * cols
-        self._counters["bytes_mapped"] += count * self._itemsize
-        if self.backend == "numpy":
-            start = offset // self._itemsize
-            window = self._segment_map()[start : start + count]
-            return _np.array(window, copy=True).reshape(rows, cols)
-        fh = self._segment_handle()
-        fh.seek(offset)
-        flat = struct.unpack(f"<{count}{self._pack_fmt}", fh.read(count * self._itemsize))
-        return [list(flat[r * cols : (r + 1) * cols]) for r in range(rows)]
-
-    def _spilled_row(self, bi: int, bj: int, local: int):
-        """Row ``local`` of logical tile ``(bi, bj)`` read straight out
-        of the mmap segment — or ``None`` when the fast path does not
-        apply (not in mmap mode, tile resident, or never spilled) and
-        the caller should take the resident-tile path.
-
-        A mirror tile (``bi > bj``) has no bytes of its own: its row
-        ``local`` is column ``local`` of the spilled upper tile, read as
-        a strided window (NumPy) or one seeked element per tile row
-        (pure Python).  Values are the exact IEEE bytes the tile spilled
-        with, so reads through the segment equal resident reads
-        float for float."""
-        if self.spill_mode != "mmap" or (bi, bj) in self._tiles:
-            return None
-        ui, uj = (bi, bj) if bi <= bj else (bj, bi)
-        if (ui, uj) not in self._segment_offsets or (ui, uj) in self._tiles:
-            return None
-        offset = self._segment_offsets[(ui, uj)]
-        rows, cols = self._tile_shape(ui, uj)
-        upper = (bi, bj) == (ui, uj)
-        span = cols if upper else rows
-        self._counters["mmap_reads"] += 1
-        self._counters["bytes_mapped"] += span * self._itemsize
-        if self.backend == "numpy":
-            start = offset // self._itemsize
-            window = self._segment_map()[start : start + rows * cols]
-            window = window.reshape(rows, cols)
-            return window[local, :] if upper else window[:, local]
-        fh = self._segment_handle()
-        if upper:
-            fh.seek(offset + local * cols * self._itemsize)
-            return list(
-                struct.unpack(
-                    f"<{cols}{self._pack_fmt}", fh.read(cols * self._itemsize)
+        Offsets are recorded only once the whole write has landed, so a
+        write that fails part-way leaves the tile evicted (it rebuilds
+        on touch), and the next append overwrites its partial bytes."""
+        upper = self._encode(tile)
+        data = upper
+        if bi != bj:
+            mirror = tile.T if self.backend == "numpy" else list(zip(*tile))
+            data += self._encode(mirror)
+        offset = self._segment_size
+        try:
+            if self._segment_fd is None:
+                self._open_segment()
+            view = memoryview(data)
+            written = 0
+            while written < len(view):
+                written += os.pwrite(
+                    self._segment_fd, view[written:], offset + written
                 )
-            )
-        one = struct.Struct(f"<{self._pack_fmt}")
-        out = []
-        for r in range(rows):
-            fh.seek(offset + (r * cols + local) * self._itemsize)
-            out.append(one.unpack(fh.read(self._itemsize))[0])
-        return out
+        except OSError as exc:
+            self._counters["spill_failures"] += 1
+            if self._counters["spill_failures"] == 1:
+                _LOG.warning(
+                    "tile spill to %s failed (%s: %s); evicted tiles "
+                    "rebuild on touch",
+                    self.config.spill_dir,
+                    type(exc).__name__,
+                    exc,
+                )
+            return
+        self._segment_offsets[(bi, bj)] = offset
+        if bi != bj:
+            self._segment_offsets[(bj, bi)] = offset + len(upper)
+        self._segment_size = offset + len(data)
+        self._counters["spills"] += 1
+
+    def _segment_read(self, offset: int, count: int):
+        """``count`` stored values at byte ``offset`` of the segment, in
+        one positioned read: a little-endian NumPy vector, or a tuple of
+        floats on pure Python."""
+        nbytes = count * self._itemsize
+        data = os.pread(self._segment_fd, nbytes, offset)
+        self._counters["bytes_mapped"] += nbytes
+        if self.backend == "numpy":
+            return _np.frombuffer(data, dtype=f"<f{self._itemsize}")
+        return struct.unpack(f"<{count}{self._pack_fmt}", data)
+
+    def _spilled_row(
+        self, bi: int, bj: int, local: int, lo: int = 0, hi: int | None = None
+    ):
+        """Values ``[lo:hi)`` of row ``local`` of logical tile
+        ``(bi, bj)``, read straight out of the segment — or ``None``
+        when the tile's upper copy is resident or was never spilled, and
+        the caller takes the tile path.  The segment holds mirror tiles
+        in row order too, so upper and mirror rows alike are one read of
+        the exact IEEE bytes the tile spilled with."""
+        upper = (bi, bj) if bi <= bj else (bj, bi)
+        offset = self._segment_offsets.get((bi, bj))
+        if offset is None or upper in self._tiles:
+            return None
+        b0, b1 = self._bounds(bj)
+        cols = b1 - b0
+        if hi is None:
+            hi = cols
+        self._counters["mmap_reads"] += 1
+        return self._segment_read(
+            offset + (local * cols + lo) * self._itemsize, hi - lo
+        )
 
     @property
     def spill_stats(self) -> dict[str, int]:
@@ -805,7 +765,7 @@ class TiledStorage(KernelStorage):
             jobs,
             lambda spec: self._builder(*spec[1:]),
             lambda key, block: self._store_upper(*key, self._narrow(block)),
-            self.workers,
+            self.config.workers,
             self.backend == "numpy",
             pool_source=self._pool_source,
             prime=lambda key: key[0] == key[1],
@@ -816,13 +776,21 @@ class TiledStorage(KernelStorage):
     def get(self, i: int, j: int) -> float:
         bi, li = divmod(i, self.block_size)
         bj, lj = divmod(j, self.block_size)
-        part = self._spilled_row(bi, bj, li)
-        if part is not None:
-            return float(part[lj])
+        spilled = self._spilled_row(bi, bj, li, lj, lj + 1)
+        if spilled is not None:
+            return float(spilled[0])
         tile = self._tile(bi, bj)
         if self.backend == "numpy":
             return float(tile[li, lj])
         return tile[li][lj]
+
+    def _tile_value(self, i: int, j: int) -> float:
+        """Entry ``(i, j)`` read through its whole tile (pure Python):
+        whole-tile consumers load a spilled upper copy back once instead
+        of reading the segment value by value."""
+        bi, li = divmod(i, self.block_size)
+        bj, lj = divmod(j, self.block_size)
+        return self._tile(bi, bj)[li][lj]
 
     def _row_parts(self, i: int):
         bi, local = divmod(i, self.block_size)
@@ -889,7 +857,7 @@ class TiledStorage(KernelStorage):
 
     def gather64(self, rows: Sequence[int], cols: Sequence[int]):
         if self.backend != "numpy":
-            return [[self.get(i, j) for j in cols] for i in rows]
+            return [[self._tile_value(i, j) for j in cols] for i in rows]
         # Widening float32 → float64 is exact, so gathering in the
         # storage dtype first loses nothing.
         return self._gather_raw(rows, cols).astype(_np.float64, copy=False)
@@ -912,13 +880,7 @@ class TiledStorage(KernelStorage):
             m,
             builder,
             self.backend == "numpy",
-            self.block_size,
-            dtype=self.dtype,
-            workers=self.workers,
-            max_resident_tiles=self.max_resident_tiles,
-            max_resident_bytes=self.max_resident_bytes,
-            spill_dir=self.spill_dir,
-            spill_mode=self.spill_mode,
+            self.config,
             pool_source=self._pool_source,
         )
         if not self.is_fully_built:
@@ -982,7 +944,7 @@ class TiledStorage(KernelStorage):
                 elif old_c < 0:
                     value = self._narrow_scalar(float(block[delta_of[q]][p]))
                 else:
-                    value = self.get(old_r, old_c)
+                    value = self._tile_value(old_r, old_c)
                 row.append(value)
             tile.append(row)
         return tile
@@ -1014,7 +976,7 @@ class TiledStorage(KernelStorage):
         return (
             f"TiledStorage(n={self.n}, backend={self.backend}, dtype={self.dtype}, "
             f"block={self.block_size}, tiles={self.tiles_built}/{self.total_tiles}, "
-            f"workers={self.workers or 1})"
+            f"workers={self.config.workers or 1})"
         )
 
 
@@ -1079,12 +1041,12 @@ class SketchedStorage:
         landmark_positions: Sequence[int],
         columns_builder: Callable[[int, int, Sequence[int]], object],
         use_numpy: bool,
-        block_size: int,
+        config: "EngineConfig",
         strategy: str,
-        workers: "int | str | None" = None,
         pool_source: Callable[[], tuple] | None = None,
     ) -> "SketchedStorage":
-        """Score the n×m landmark columns in row blocks.
+        """Score the n×m landmark columns in row blocks of the config's
+        ``block_size``.
 
         ``columns_builder(a0, a1, landmarks)`` returns the provider
         distance block of answer rows ``[a0:a1]`` against the landmark
@@ -1095,7 +1057,7 @@ class SketchedStorage:
         reuses its initialized workers) — block values are
         row-range-local, so assembly order cannot change a float.
         """
-        workers = validate_workers(workers, StorageError)
+        block_size = config.block_size or DEFAULT_BLOCK_SIZE
         landmarks = list(landmark_positions)
         if len(landmarks) >= n:
             # Clamp m >= n to "every row is a landmark": the sketch then
@@ -1118,7 +1080,7 @@ class SketchedStorage:
             [(span, ("cols", *span, tuple(landmarks))) for span in spans],
             lambda spec: columns_builder(spec[1], spec[2], landmarks),
             store,
-            workers,
+            config.workers,
             use_numpy,
             pool_source=pool_source,
         )
@@ -1232,80 +1194,23 @@ class SketchedStorage:
 
 
 def make_storage(
-    kind: str,
     n: int,
     builder: BlockBuilder,
     use_numpy: bool,
-    block_size: int,
-    dtype: str = "float64",
-    workers: "int | str | None" = None,
-    max_resident_tiles: int | None = None,
-    max_resident_bytes: int | None = None,
-    spill_dir: str | None = None,
-    spill_mode: str | None = None,
+    config: "EngineConfig",
     pool_source: Callable[[], tuple] | None = None,
 ) -> KernelStorage:
-    """The storage object behind one kernel's distance matrix.
+    """The storage object behind one kernel's distance matrix, as the
+    validated ``config`` plans it.
 
-    ``dense`` is eager, contiguous, float64-only (the historical layout
-    and the parity baseline); ``tiled`` is lazy, blocked, dtype-aware,
-    optionally parallel (``workers``) and optionally memory-bounded
-    (LRU tile budget + spill directory).  The float32 and
-    multicore/spilling knobs are deliberately rejected for dense storage:
-    they only pay when the matrix no longer has to exist as one
-    allocation, and keeping dense plain float64 preserves it as the
-    bit-exact reference every parity suite compares against.
-    ``workers="auto"`` is accepted everywhere (it resolves to the host
-    CPU count at build time, which for dense simply means "serial").
+    ``dense`` (the default) is eager, contiguous and float64-only — the
+    historical layout and the bit-exact reference every parity suite
+    compares against; ``tiled`` is lazy, blocked, dtype-aware,
+    optionally parallel (``workers``) and optionally memory-bounded (LRU
+    tile budget + spill directory).  A ``sketched`` kernel keeps its
+    exact reads on the same lazy tiled grid.
     """
-    if kind not in STORAGE_KINDS:
-        raise StorageError(
-            f"unknown storage kind {kind!r}; choose one of {STORAGE_KINDS}"
-        )
-    if kind == "sketched":
-        raise StorageError(
-            "storage='sketched' is a kernel plan, not a full-matrix "
-            "storage: the kernel pairs a SketchedStorage sidecar with a "
-            "lazy tiled grid for exact reads (see ScoringKernel.sketch)"
-        )
-    if dtype not in STORAGE_DTYPES:
-        raise StorageError(
-            f"unknown storage dtype {dtype!r}; choose one of {STORAGE_DTYPES}"
-        )
-    workers = validate_workers(workers, StorageError)
-    if kind == "dense":
-        if dtype != "float64":
-            raise StorageError(
-                "dense storage is float64-only (the bit-exact parity "
-                "baseline); use storage='tiled' for dtype='float32'"
-            )
-        if isinstance(workers, int) and workers > 1:
-            raise StorageError(
-                "dense storage builds serially; use storage='tiled' for "
-                f"workers={workers}"
-            )
-        if (
-            max_resident_tiles is not None
-            or max_resident_bytes is not None
-            or spill_dir is not None
-            or (spill_mode is not None and spill_mode != "file")
-        ):
-            raise StorageError(
-                "dense storage is one eager allocation and cannot spill; "
-                "use storage='tiled' for tile budgets / spill_dir / "
-                "spill_mode"
-            )
+    if (config.storage or "dense") == "dense":
+        block_size = config.block_size or DEFAULT_BLOCK_SIZE
         return DenseStorage(n, builder, use_numpy, block_size)
-    return TiledStorage(
-        n,
-        builder,
-        use_numpy,
-        block_size,
-        dtype=dtype,
-        workers=workers,
-        max_resident_tiles=max_resident_tiles,
-        max_resident_bytes=max_resident_bytes,
-        spill_dir=spill_dir,
-        spill_mode=spill_mode,
-        pool_source=pool_source,
-    )
+    return TiledStorage(n, builder, use_numpy, config, pool_source=pool_source)

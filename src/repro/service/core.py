@@ -53,6 +53,7 @@ from typing import Any
 from ..api import DiversifyRequest, DiversifyResponse, EngineConfig
 from ..engine.engine import DiversificationEngine
 from ..engine.parallel import warm_pool_registry
+from ..engine.storage import STORAGE_COUNTERS
 from ..retrieval import DEFAULT_POOL_SIZE
 from .cache import TTLCache
 from .registry import WorkloadRegistry, default_registry
@@ -430,7 +431,9 @@ class DiversificationService:
         The grid runs as one coalescable unit: identical concurrent
         sweeps await one computation, and the member cells share one
         kernel through the engine's LRU (the λ-sweep case the engine was
-        built for).
+        built for).  The result cache keeps the cells as ``(k, λ,
+        DiversifyResponse)`` triples, as ``diversify`` keeps its
+        response; every caller gets a freshly rendered wire payload.
         """
         k_grid = [int(k) for k in ks] if ks is not None else [request.k]
         lam_grid = (
@@ -451,7 +454,7 @@ class DiversificationService:
         key = ("sweep", request.key(), tuple(k_grid), tuple(lam_grid))
         engine = self.engine_for(request.tenant, shard)
 
-        def compute() -> dict[str, Any]:
+        def compute() -> tuple:
             instance, approx = self._resolve(request)
             eng = self.approx_engine_for(request.tenant) if approx else engine
             grid = eng.sweep(
@@ -459,23 +462,20 @@ class DiversificationService:
             )
             for _, _, result in grid:
                 self._count_serve(result)
+            return tuple(
+                (k, lam, DiversifyResponse.from_result(result))
+                for k, lam, result in grid
+            )
+
+        def stamp(
+            cells: tuple, provenance: str, elapsed_ms: float
+        ) -> dict[str, Any]:
             return {
                 "workload": request.workload,
                 "cells": [
-                    {
-                        "k": k,
-                        "lam": lam,
-                        **DiversifyResponse.from_result(result).to_dict(),
-                    }
-                    for k, lam, result in grid
+                    {"k": k, "lam": lam, **response.to_dict()}
+                    for k, lam, response in cells
                 ],
-            }
-
-        def stamp(
-            payload: dict[str, Any], provenance: str, elapsed_ms: float
-        ) -> dict[str, Any]:
-            return {
-                **payload,
                 "cache": provenance,
                 "elapsed_ms": round(elapsed_ms, 3),
             }
@@ -668,16 +668,7 @@ class DiversificationService:
                 "pool_misses": 0,
                 "invalidations": 0,
             }
-            storage = {
-                "evictions": 0,
-                "spills": 0,
-                "spill_loads": 0,
-                "rebuilds": 0,
-                "mmap_reads": 0,
-                "bytes_mapped": 0,
-                "resident_tiles": 0,
-                "resident_bytes": 0,
-            }
+            storage = dict.fromkeys(STORAGE_COUNTERS, 0)
             cached_kernels = 0
             for engine in engines:
                 stats = engine.stats

@@ -24,6 +24,7 @@ from repro.algorithms.streaming import (
     select_streaming_greedy,
 )
 from repro.algorithms.substrate import ApproxCertificate, KernelAccess
+from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveError, ObjectiveKind
 from repro.core.providers import LANDMARK_STRATEGIES, ProviderError
 from repro.engine import ScoringKernel, SketchedStorage, numpy_available
@@ -39,9 +40,8 @@ SELECTORS = {
 
 
 def sketched_kernel(instance, use_numpy, **knobs):
-    return ScoringKernel(
-        instance, use_numpy=use_numpy, storage="sketched", **knobs
-    )
+    config = EngineConfig(storage="sketched", **knobs)
+    return ScoringKernel(instance, use_numpy=use_numpy, config=config)
 
 
 def with_duplicates(instance, extra=(0, 2, 2)):
@@ -176,9 +176,7 @@ class TestSketchMaintenance:
         patched sketch's bounds still bracket the true distances."""
         workload = StreamingWebSearch(num_docs=25, seed=11)
         instance = workload.make_instance(k=4, lam=0.5)
-        kernel = ScoringKernel(
-            instance, use_numpy=use_numpy, storage="sketched", sketch_columns=6
-        )
+        kernel = sketched_kernel(instance, use_numpy, sketch_columns=6)
         kernel.sketch()
         for _ in range(4):
             workload.step()

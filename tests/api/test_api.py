@@ -238,13 +238,15 @@ class TestMulticoreConfig:
             parser.parse_args(["--workers", "many"])
 
     def test_removed_knobs_rejected_on_the_wire(self):
-        """``workers`` is the one parallelism knob: a wire form still
-        carrying the old ``parallel`` or warm-pool fields fails loudly
-        instead of being silently dropped."""
+        """``workers`` is the one parallelism knob and ``spill_dir``
+        alone selects the one spill format: a wire form still carrying
+        the old ``parallel``, warm-pool or ``spill_mode`` fields fails
+        loudly instead of being silently dropped."""
         for field, value in (
             ("parallel", "process"),
             ("max_warm_pools", 2),
             ("warm_pool_ttl", 60.0),
+            ("spill_mode", "mmap"),
         ):
             with pytest.raises(ApiError, match=rf"unknown .*'{field}'"):
                 EngineConfig.from_dict({"storage": "tiled", field: value})
@@ -252,7 +254,8 @@ class TestMulticoreConfig:
     def test_removed_flags_rejected_by_the_cli(self):
         parser = argparse.ArgumentParser()
         add_engine_config_args(parser)
-        for flag in ("--parallel", "--max-warm-pools", "--warm-pool-ttl"):
+        for flag in ("--parallel", "--max-warm-pools", "--warm-pool-ttl",
+                     "--spill-mode"):
             with pytest.raises(SystemExit):
                 parser.parse_args(["--storage", "tiled", flag, "1"])
 

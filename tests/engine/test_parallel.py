@@ -18,20 +18,25 @@ performance features — neither may move a float.  These tests pin that:
 * a spilling grid (``max_resident_tiles`` / ``max_resident_bytes``,
   with or without ``spill_dir``) answers every read exactly like an
   unbounded one, while actually holding resident tiles at the budget;
-* ``spill_mode="mmap"`` row reads come back byte-identical to the
-  rehydrate-whole-tiles path on both backends and dtypes;
+* with ``spill_dir``, scalar and row reads of spilled upper and mirror
+  tiles come straight out of the segment, byte-identical to resident
+  reads on both backends and dtypes, and a spill directory that cannot
+  be written degrades to rebuild-on-touch with a counter;
 * the warm pool registry leases byte-identical snapshots only — hit/
   miss/evict/TTL/invalidate lifecycle and ``apply_delta`` invalidation;
 * the sketched landmark columns built with ``workers=2`` equal the
   serially built sketch.
 """
 
+import errno
 import logging
+import os
 import threading
 from concurrent.futures import BrokenExecutor
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.functions import DistanceFunction, RelevanceFunction
 from repro.core.objectives import Objective, ObjectiveKind
 import repro.engine.parallel as parallel
@@ -55,7 +60,9 @@ BACKENDS = [False] + ([True] if numpy_available() else [])
 
 def tiled_kernel(instance, use_numpy, **knobs):
     knobs.setdefault("storage", "tiled")
-    return ScoringKernel(instance, use_numpy=use_numpy, **knobs)
+    return ScoringKernel(
+        instance, use_numpy=use_numpy, config=EngineConfig(**knobs)
+    )
 
 
 def closure_instance(n=14, k=4, seed=5):
@@ -155,7 +162,7 @@ class TestKnobs:
     def test_kernel_accepts_auto_workers(self):
         instance = random_instance(n=8, k=3, seed=1)
         kernel = tiled_kernel(instance, False, workers="auto")
-        assert kernel.workers == "auto"
+        assert kernel.config.workers == "auto"
 
     def test_kernel_rejects_removed_knobs(self):
         instance = random_instance(n=8, k=3, seed=1)
@@ -163,6 +170,7 @@ class TestKnobs:
             ("parallel", "process"),
             ("max_warm_pools", 2),
             ("warm_pool_ttl", 60.0),
+            ("spill_mode", "mmap"),
         ):
             with pytest.raises(TypeError, match=knob):
                 tiled_kernel(instance, False, workers=2, **{knob: value})
@@ -466,7 +474,51 @@ class TestSpilling:
         assert 1 <= stats["resident_tiles"] <= 3
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    def test_spilled_reads_equal_resident_reads(self, use_numpy, dtype, tmp_path):
+        """With ``spill_dir`` alone, scalar and row reads of spilled
+        upper and mirror tiles come straight out of the segment — one
+        read per row, no tile rehydrated — and equal an unbounded
+        grid's reads byte for byte."""
+        instance = random_instance(
+            n=17, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
+        )
+        plain = tiled_kernel(instance, use_numpy, block_size=4, dtype=dtype)
+        spilled = tiled_kernel(
+            instance,
+            use_numpy,
+            block_size=4,
+            dtype=dtype,
+            max_resident_tiles=2,
+            spill_dir=str(tmp_path),
+        )
+        plain.materialize_all()
+        spilled.materialize_all()
+        offsets = spilled._storage._segment_offsets
+        assert any(bi < bj for bi, bj in offsets)  # upper tiles spilled
+        assert any(bi > bj for bi, bj in offsets)  # ...with their mirrors
+        for i in range(plain.n):
+            assert list(spilled.copy_distance_row(i)) == list(
+                plain.copy_distance_row(i)
+            )
+            for j in range(plain.n):
+                assert spilled.distance_between(i, j) == plain.distance_between(
+                    i, j
+                )
+        stats = spilled.storage_stats()
+        assert stats["spills"] > 0
+        assert stats["mmap_reads"] > 0 and stats["bytes_mapped"] > 0
+        assert stats["spill_loads"] == 0 and stats["rebuilds"] == 0
+        # One segment file in one tiles-* directory is the only artifact.
+        (tiles_dir,) = tmp_path.iterdir()
+        assert tiles_dir.name.startswith("tiles-")
+        assert [p.name for p in tiles_dir.iterdir()] == ["segment.bin"]
+
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
     def test_spill_dir_round_trips_exactly(self, use_numpy, tmp_path):
+        """Whole-matrix consumers (row sums, to_lists, gathers) and a
+        delta patch over a spilled grid equal the dense baseline float
+        for float: spilled tiles load, never rescore."""
         instance = random_instance(
             n=17, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
         )
@@ -480,11 +532,65 @@ class TestSpilling:
         )
         spilled.materialize_all()
         assert_matrices_equal(dense, spilled)
+        everything = list(range(dense.n))
+        gathered = spilled._storage.gather64(everything, everything)
+        if use_numpy:
+            gathered = gathered.tolist()
+        assert gathered == dense.distance_rows()
         stats = spilled.storage_stats()
         assert stats["spills"] > 0
-        assert stats["spill_loads"] > 0
-        assert stats["rebuilds"] == 0  # spilled tiles load, never rescore
-        assert list(tmp_path.iterdir()), "spill_dir holds no tile files"
+        assert stats["spill_loads"] > 0  # gathers load whole upper copies
+        assert stats["rebuilds"] == 0
+        rows = list(instance.answers())
+        for kernel in (dense, spilled):
+            kernel.apply_delta(inserted=[rows[3]], deleted=[rows[1], rows[10]])
+        assert_matrices_equal(dense, spilled)
+        assert spilled.storage_stats()["spills"] > 0
+
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
+    @pytest.mark.parametrize("failure", ["not_a_directory", "disk_full"])
+    def test_failed_spills_degrade_to_rebuilds(
+        self, use_numpy, failure, tmp_path, monkeypatch, caplog
+    ):
+        """A spill directory that cannot take a tile — a regular file in
+        its place, or a disk that fills part-way through a write — fails
+        no read: the tile stays evicted and rebuilds on touch, tiles
+        spilled before the failure still read back exactly, and the
+        failure is counted and logged once."""
+        spill_dir = tmp_path / "spill"
+        if failure == "not_a_directory":
+            spill_dir.write_text("")
+        else:
+            real_pwrite = os.pwrite
+
+            def small_disk(fd, data, offset):
+                room = 600 - offset  # bytes left on the disk
+                if room <= 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return real_pwrite(fd, bytes(data[:room]), offset)
+
+            monkeypatch.setattr(os, "pwrite", small_disk)
+        instance = random_instance(
+            n=17, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
+        )
+        dense = ScoringKernel(instance, use_numpy=use_numpy)
+        kernel = tiled_kernel(
+            instance,
+            use_numpy,
+            block_size=4,
+            max_resident_tiles=2,
+            spill_dir=str(spill_dir),
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.engine.storage"):
+            kernel.materialize_all()
+            assert_matrices_equal(dense, kernel)
+        stats = kernel.storage_stats()
+        assert stats["spill_failures"] > 0
+        assert stats["rebuilds"] > 0
+        # On the small disk, tiles that fit still spill — also after a
+        # failed write, whose partial bytes they overwrite.
+        assert (stats["spills"] > 0) == (failure == "disk_full")
+        assert caplog.text.count("tile spill to") == 1
 
     def test_storage_stats_surface(self):
         instance = random_instance(n=10, k=3, seed=1)
@@ -532,80 +638,15 @@ class TestSpilling:
         assert kernel.storage_stats()["evictions"] > 0
         assert_matrices_equal(dense, kernel)
 
-
-class TestMmapSpill:
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    @pytest.mark.parametrize("dtype", [None, "float32"])
-    def test_mmap_reads_exactly(self, use_numpy, dtype, tmp_path):
-        """Row and scalar reads off mapped segment windows hold the
-        same bytes the rehydrate-whole-tiles grid holds."""
-        instance = random_instance(
-            n=17, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
-        )
-        plain = tiled_kernel(instance, use_numpy, block_size=4, dtype=dtype)
-        mapped = tiled_kernel(
-            instance,
-            use_numpy,
-            block_size=4,
-            dtype=dtype,
-            max_resident_tiles=2,
-            spill_dir=str(tmp_path),
-            spill_mode="mmap",
-        )
-        plain.materialize_all()
-        mapped.materialize_all()
-        for i in range(plain.n):
-            assert list(mapped.copy_distance_row(i)) == list(
-                plain.copy_distance_row(i)
-            )
-            for j in range(plain.n):
-                assert mapped.distance_between(i, j) == plain.distance_between(
-                    i, j
-                )
-        stats = mapped.storage_stats()
-        assert stats["spills"] > 0
-        assert stats["mmap_reads"] > 0
-        assert stats["bytes_mapped"] > 0
-        # The per-kernel segment file is the only spill artifact.
-        assert any(p.name == "segment.bin" for p in tmp_path.rglob("*"))
-
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_mmap_full_consumers_stay_exact(self, use_numpy, tmp_path):
-        """Whole-matrix consumers (row sums, to_lists) over a mapped
-        grid equal the dense baseline float for float."""
-        instance = random_instance(
-            n=15, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=9
-        )
-        dense = ScoringKernel(instance, use_numpy=use_numpy)
-        mapped = tiled_kernel(
-            instance,
-            use_numpy,
-            block_size=4,
-            max_resident_tiles=2,
-            spill_dir=str(tmp_path),
-            spill_mode="mmap",
-        )
-        mapped.materialize_all()
-        assert_matrices_equal(dense, mapped)
-
-    def test_mmap_requires_spill_dir(self):
-        instance = random_instance(n=8, k=3, seed=1)
-        with pytest.raises(KernelError, match="spill_dir"):
-            tiled_kernel(instance, False, spill_mode="mmap")
-
-    def test_unknown_spill_mode_rejected(self):
-        instance = random_instance(n=8, k=3, seed=1)
-        with pytest.raises(KernelError, match="spill_mode"):
-            tiled_kernel(instance, False, spill_mode="tape", spill_dir="/tmp")
-
     def test_dense_rejects_spill_mode(self, tmp_path):
+        """Dense storage is one eager allocation: it rejects a spill
+        directory."""
         instance = random_instance(n=8, k=3, seed=1)
         with pytest.raises(KernelError, match="dense"):
             ScoringKernel(
                 instance,
                 use_numpy=False,
-                spill_dir=str(tmp_path),
-                spill_mode="mmap",
+                config=EngineConfig(spill_dir=str(tmp_path)),
             )
 
 
@@ -736,20 +777,13 @@ class TestSketchPooled:
         instance = random_instance(
             n=23, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=2
         )
-        serial = ScoringKernel(
-            instance,
-            use_numpy=use_numpy,
-            storage="sketched",
-            sketch_columns=5,
+        serial = tiled_kernel(
+            instance, use_numpy, storage="sketched", sketch_columns=5,
             block_size=4,
         )
-        pooled = ScoringKernel(
-            instance,
-            use_numpy=use_numpy,
-            storage="sketched",
-            sketch_columns=5,
-            block_size=4,
-            workers=2,
+        pooled = tiled_kernel(
+            instance, use_numpy, storage="sketched", sketch_columns=5,
+            block_size=4, workers=2,
         )
         a, b = serial.sketch(), pooled.sketch()
         assert b.landmark_positions == a.landmark_positions
@@ -764,14 +798,12 @@ class TestSketchPooled:
             n=23, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=3
         )
         knobs = dict(storage="sketched", sketch_columns=5, block_size=4)
-        serial = ScoringKernel(instance, use_numpy=use_numpy, **knobs).sketch()
+        serial = tiled_kernel(instance, use_numpy, **knobs).sketch()
         if use_numpy:
             no_processes(monkeypatch)
         else:
             no_threads(monkeypatch)
-        pooled = ScoringKernel(
-            instance, use_numpy=use_numpy, workers=2, **knobs
-        ).sketch()
+        pooled = tiled_kernel(instance, use_numpy, workers=2, **knobs).sketch()
         stats = registry.stats()
         assert stats["misses"] == (0 if use_numpy else 1)
         assert stats["pool_failures"] == 0

@@ -9,6 +9,7 @@ scalar-adapter construction over the derived callables.
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.instance import DiversificationInstance
 from repro.core.objectives import Objective, ObjectiveKind
 from repro.engine import (
@@ -97,7 +98,9 @@ def test_block_size_does_not_change_the_matrix(case):
     for use_numpy in BACKENDS:
         for block_size in (1, 3, 7, 4096):
             tiled = ScoringKernel(
-                with_provider, use_numpy=use_numpy, block_size=block_size
+                with_provider,
+                use_numpy=use_numpy,
+                config=EngineConfig(block_size=block_size),
             )
             assert_kernels_equal(tiled, baseline)
 
@@ -105,7 +108,9 @@ def test_block_size_does_not_change_the_matrix(case):
 def test_block_size_validated():
     _, with_provider, _ = CASES[0]
     with pytest.raises(KernelError):
-        ScoringKernel(with_provider, use_numpy=False, block_size=0)
+        ScoringKernel(
+            with_provider, use_numpy=False, config=EngineConfig(block_size=0)
+        )
 
 
 @pytest.mark.skipif(not numpy_available(), reason="requires numpy")

@@ -9,6 +9,7 @@ snapshot is too small to sketch.
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.providers import LANDMARK_STRATEGIES
 from repro.engine import ScoringKernel, SketchedStorage, numpy_available
 from repro.engine.storage import StorageError
@@ -18,7 +19,8 @@ BACKENDS = [False] + ([True] if numpy_available() else [])
 
 
 def sketched_kernel(instance, use_numpy, **knobs):
-    return ScoringKernel(instance, use_numpy=use_numpy, storage="sketched", **knobs)
+    config = EngineConfig(storage="sketched", **knobs)
+    return ScoringKernel(instance, use_numpy=use_numpy, config=config)
 
 
 @pytest.mark.parametrize("strategy", sorted(LANDMARK_STRATEGIES))

@@ -51,14 +51,10 @@ KINDS = {
 
 
 def tiled_kernel(instance, use_numpy, block_size=5, dtype=None, workers=None):
-    return ScoringKernel(
-        instance,
-        use_numpy=use_numpy,
-        storage="tiled",
-        block_size=block_size,
-        dtype=dtype,
-        workers=workers,
+    config = EngineConfig(
+        storage="tiled", block_size=block_size, dtype=dtype, workers=workers
     )
+    return ScoringKernel(instance, use_numpy=use_numpy, config=config)
 
 
 def assert_matrices_equal(dense, tiled):
@@ -280,34 +276,46 @@ def test_tiled_float32_matches_pinned_selections(pin, use_numpy):
     assert [list(row.values) for row in result[1]] == pin["rows"]
 
 
+def config_kernel(instance, **knobs):
+    return ScoringKernel(instance, use_numpy=False, config=EngineConfig(**knobs))
+
+
 class TestValidation:
+    """The kernel validates its config once and re-raises the config's
+    error as ``KernelError``."""
+
     def test_dense_rejects_float32(self):
         instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, dtype="float32")
+        with pytest.raises(KernelError, match="float64-only"):
+            config_kernel(instance, dtype="float32")
 
     def test_unknown_storage_and_dtype(self):
         instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, storage="sparse")
-        with pytest.raises(KernelError):
-            ScoringKernel(
-                instance, use_numpy=False, storage="tiled", dtype="float16"
-            )
+        with pytest.raises(KernelError, match="unknown storage"):
+            config_kernel(instance, storage="sparse")
+        with pytest.raises(KernelError, match="unknown dtype"):
+            config_kernel(instance, storage="tiled", dtype="float16")
 
     def test_bad_workers(self):
         instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, storage="tiled", workers=0)
+        with pytest.raises(KernelError, match="workers"):
+            config_kernel(instance, storage="tiled", workers=0)
 
     def test_dense_rejects_parallel_workers(self):
         """workers>1 on dense would be silently serial — reject it like
         the dtype knob instead (workers=1 is the harmless default)."""
         instance = random_instance(n=5, k=2)
-        with pytest.raises(KernelError):
-            ScoringKernel(instance, use_numpy=False, workers=4)
-        kernel = ScoringKernel(instance, use_numpy=False, workers=1)
-        assert kernel.storage_kind == "dense"
+        with pytest.raises(KernelError, match="serially"):
+            config_kernel(instance, workers=4)
+        kernel = config_kernel(instance, workers=1)
+        assert kernel.storage_stats()["kind"] == "dense"
+
+    def test_policy_travels_only_in_config(self):
+        instance = random_instance(n=5, k=2)
+        for knob, value in (("storage", "tiled"), ("block_size", 4),
+                            ("spill_dir", "/tmp"), ("spill_mode", "mmap")):
+            with pytest.raises(TypeError, match=knob):
+                ScoringKernel(instance, use_numpy=False, **{knob: value})
 
     def test_engine_knob_validation(self):
         with pytest.raises(EngineError):
@@ -340,8 +348,8 @@ class TestEngineThreading:
         dense_result = dense_engine.run(instance)
         tiled_result = tiled_engine.run(instance)
         kernel = tiled_engine.kernel_for(instance)
-        assert kernel.storage_kind == "tiled"
-        assert kernel.dtype == "float32"
-        assert kernel.workers == 2
+        assert kernel.config is tiled_engine.config
+        assert isinstance(kernel._storage, TiledStorage)
+        assert kernel._storage.dtype == "float32"
         assert tiled_result.rows == dense_result.rows
         assert tiled_result.value == pytest.approx(dense_result.value, rel=1e-5)

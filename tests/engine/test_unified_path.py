@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveKind
 from repro.engine import (
     ALGORITHMS,
@@ -85,20 +86,27 @@ def test_explicit_kernel_matches_pins(pin, use_numpy):
 
 
 @pytest.mark.parametrize("pin", PINS, ids=pin_id)
-def test_spilling_kernel_matches_pins(pin):
-    """A memory-bounded kernel (LRU tile budget far below the grid,
-    rebuild-on-touch) is still the same substrate: every pinned
-    selection survives tiles being evicted and rebuilt mid-selection."""
-    instance = pin_instance(pin)
-    kernel = ScoringKernel(
-        instance, storage="tiled", block_size=16, max_resident_tiles=2
-    )
-    if pin["algorithm"] == "early_termination_top_k":
-        result = early_termination_top_k(instance, kernel=kernel)
-        assert result.consumed == pin["consumed"]
-        check(pin, (result.value, result.selected))
-        return
-    check(pin, ALGORITHMS[pin["algorithm"]](instance, kernel))
+def test_spilling_kernel_matches_pins(pin, tmp_path):
+    """A memory-bounded kernel (a 3×3 grid of which two tiles stay
+    resident) is still the same substrate: every pinned selection
+    survives tiles being evicted mid-selection — rebuilt on touch
+    without a spill directory, read back from the spill segment with
+    ``spill_dir``."""
+    for spill_dir in (None, str(tmp_path)):
+        instance = pin_instance(pin)
+        config = EngineConfig(
+            storage="tiled",
+            block_size=4,
+            max_resident_tiles=2,
+            spill_dir=spill_dir,
+        )
+        kernel = ScoringKernel(instance, config=config)
+        if pin["algorithm"] == "early_termination_top_k":
+            result = early_termination_top_k(instance, kernel=kernel)
+            assert result.consumed == pin["consumed"]
+            check(pin, (result.value, result.selected))
+            continue
+        check(pin, ALGORITHMS[pin["algorithm"]](instance, kernel))
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -112,23 +120,22 @@ def _drain_warm_pools():
 @pytest.mark.parametrize("pin", PINS, ids=pin_id)
 def test_warm_mmap_kernel_matches_pins(pin, tmp_path):
     """The full warm path — pure-Python tiles built through a process
-    pool leased from the warm registry, then spilled to an mmap-backed
-    segment under a tight resident budget — is still the same substrate.
+    pool leased from the warm registry, then spilled to the segment
+    under a tight resident budget and read back row by row — is still
+    the same substrate.
     ``use_numpy=False`` because only the pure-Python backend fans out
     over processes.  Pins are grouped by instance, so consecutive pins
     lease the pool the previous build left behind (one spawn per
     distinct snapshot)."""
     instance = pin_instance(pin)
-    kernel = ScoringKernel(
-        instance,
-        use_numpy=False,
+    config = EngineConfig(
         storage="tiled",
         block_size=4,
         max_resident_tiles=2,
         spill_dir=str(tmp_path),
-        spill_mode="mmap",
         workers=2,
     )
+    kernel = ScoringKernel(instance, use_numpy=False, config=config)
     kernel.materialize_all()
     if pin["algorithm"] == "early_termination_top_k":
         result = early_termination_top_k(instance, kernel=kernel)

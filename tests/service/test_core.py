@@ -7,6 +7,7 @@ followers gathered in the same loop tick observe it deterministically.
 """
 
 import asyncio
+import copy
 
 import pytest
 
@@ -266,6 +267,44 @@ class TestSweep:
         assert sorted(p["cache"] for p in payloads) == [
             "coalesced", "coalesced", "computed"
         ]
+        assert service.computed == 1
+
+    def test_cached_and_coalesced_sweeps_render_fresh_payloads(self):
+        """The cache keeps the cells, not wire dicts: a coalesced and a
+        TTL-hit sweep equal the computed payload cell for cell (bar the
+        provenance fields), and no caller's edits reach the next hit."""
+        service = make_service()
+
+        def without_provenance(payload):
+            return {
+                key: value for key, value in payload.items()
+                if key not in ("cache", "elapsed_ms")
+            }
+
+        async def scenario():
+            first, follower = await asyncio.gather(
+                service.sweep(REQ, ks=[2, 3], lams=[0.2, 0.8]),
+                service.sweep(REQ, ks=[2, 3], lams=[0.2, 0.8]),
+            )
+            computed = copy.deepcopy(first)
+            first["cells"][0]["indices"].append(-1)
+            first["cells"].pop()
+            hit = await service.sweep(REQ, ks=[2, 3], lams=[0.2, 0.8])
+            computed_hit = copy.deepcopy(hit)
+            hit["cells"][1]["rows"].clear()
+            again = await service.sweep(REQ, ks=[2, 3], lams=[0.2, 0.8])
+            return computed, follower, computed_hit, again
+
+        computed, follower, hit, again = run(scenario())
+        assert [p["cache"] for p in (computed, follower, hit, again)] == [
+            "computed", "coalesced", "cached", "cached"
+        ]
+        assert list(computed) == ["workload", "cells", "cache", "elapsed_ms"]
+        assert len(computed["cells"]) == 4
+        assert list(computed["cells"][0])[:2] == ["k", "lam"]
+        for payload in (follower, hit, again):
+            assert list(payload) == list(computed)
+            assert without_provenance(payload) == without_provenance(computed)
         assert service.computed == 1
 
     def test_sweep_cell_limit(self):

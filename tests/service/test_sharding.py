@@ -226,6 +226,7 @@ class TestStats:
         assert set(tenant["storage"]) == {
             "evictions",
             "spills",
+            "spill_failures",
             "spill_loads",
             "rebuilds",
             "mmap_reads",
@@ -261,3 +262,24 @@ class TestStats:
         assert storage["resident_tiles"] <= 2
         assert storage["evictions"] > 0
         assert storage["spills"] == 0  # no spill_dir configured
+
+    def test_spill_failures_surface_in_stats(self, tmp_path):
+        """A spill directory that cannot be created fails no request:
+        the evicted tiles rebuild on touch, and the failed spills are
+        counted in ``/stats``."""
+        blocker = tmp_path / "spill"
+        blocker.write_text("")
+        service = make_service(
+            engine=EngineConfig(
+                storage="tiled",
+                block_size=8,
+                max_resident_tiles=2,
+                spill_dir=str(blocker),
+            ),
+        )
+        response = run(service.diversify(request_for(48)))
+        assert response.feasible
+        storage = service.stats()["tenants"]["default"]["storage"]
+        assert storage["evictions"] > 0
+        assert storage["spill_failures"] > 0
+        assert storage["spills"] == 0
