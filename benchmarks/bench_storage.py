@@ -384,15 +384,17 @@ def run_lazy_smoke(use_numpy):
         use_numpy=use_numpy,
         config=EngineConfig(storage="tiled", block_size=block),
     )
-    storage = tiled._storage
-    assert isinstance(storage, TiledStorage)
-    assert storage.tiles_built == 0, "tiled storage built tiles at construction"
+    assert not tiled.distances_materialized, (
+        "tiled kernel allocated distance storage at construction"
+    )
     direct = mmr_select(instances["dense-f64"], kernel=dense)
     routed = mmr_select(instances["tiled-f64"], kernel=tiled)
     assert routed is not None and direct is not None
     assert [list(r.values) for r in routed[1]] == [
         list(r.values) for r in direct[1]
     ], "lazy tiled MMR selection diverged from dense"
+    storage = tiled._storage
+    assert isinstance(storage, TiledStorage)
     built, total = storage.tiles_built, storage.total_tiles
     assert 0 < built < total, (
         f"MMR on n={n} should touch some but not all tiles, built {built}/{total}"

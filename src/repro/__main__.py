@@ -374,6 +374,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .api import ApiError
     from .service.core import DiversificationService, ServiceConfig
@@ -401,6 +402,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> None:
         server = ServiceServer(service, host=args.host, port=args.port)
         await server.start()
+        # SIGTERM takes Ctrl-C's path: the serving task is cancelled and
+        # the interpreter exits normally, so exit-time cleanup (the
+        # spill segments' ``tiles-*`` directories) runs.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         print(
             f"serving on http://{args.host}:{server.port} "
             f"(workloads: {', '.join(service.registry.names())})",
@@ -410,7 +417,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return 0
 

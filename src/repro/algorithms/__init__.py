@@ -3,9 +3,10 @@
 Every algorithm is an index-based selector over a
 :class:`~repro.engine.kernel.ScoringKernel` (the ``select_*`` names);
 the row-returning signatures are thin adapters kept for the original
-API (see :mod:`repro.algorithms.substrate`).  Selectors declare their
-kernel data-access needs (:class:`~repro.algorithms.substrate.KernelAccess`);
-the sketched and streaming selectors run below full-matrix access.
+API (see :mod:`repro.algorithms.substrate`).  Selectors declare nothing
+about the distances they read: the kernel allocates distance storage on
+the first read, so relevance-only selections never allocate it and the
+sketched and streaming selectors read only the rows they touch.
 """
 
 from .exact import (
@@ -38,23 +39,15 @@ from .sketched import (
     select_sketched_mmr,
 )
 from .streaming import StreamingGreedySelector, select_streaming_greedy
-from .substrate import (
-    ApproxCertificate,
-    KernelAccess,
-    SelectionResult,
-    declares_access,
-    resolve_access,
-)
+from .substrate import ApproxCertificate, SelectionResult
 
 __all__ = [
     "ApproxCertificate",
     "EarlyTerminationResult",
-    "KernelAccess",
     "SelectionResult",
     "StreamingGreedySelector",
     "best_modular",
     "branch_and_bound_max_sum",
-    "declares_access",
     "early_termination_top_k",
     "exhaustive_best",
     "greedy_marginal_max_sum",
@@ -63,7 +56,6 @@ __all__ = [
     "local_search",
     "mmr_select",
     "optimal_value",
-    "resolve_access",
     "select_best_modular",
     "select_branch_and_bound_max_sum",
     "select_exhaustive",

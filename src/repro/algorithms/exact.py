@@ -27,14 +27,7 @@ from typing import TYPE_CHECKING
 
 from ..core.instance import DiversificationInstance
 from ..core.objectives import Objective, ObjectiveKind
-from .substrate import (
-    KernelAccess,
-    SearchResult,
-    declares_access,
-    ensure_kernel,
-    relevance_only_access,
-    selection_result,
-)
+from .substrate import SearchResult, ensure_kernel, selection_result
 
 if TYPE_CHECKING:
     from ..core.constraints import ConstraintSet
@@ -51,15 +44,6 @@ __all__ = [
 ]
 
 
-def _bnb_access(objective: Objective) -> str:
-    """Branch and bound reads every candidate's distance row at λ > 0 —
-    effectively the full matrix; at λ = 0 its arrays are relevance-only."""
-    if objective.lam == 0.0:
-        return KernelAccess.ROWS_ONLY
-    return KernelAccess.FULL_MATRIX
-
-
-@declares_access(relevance_only_access)
 def select_exhaustive(
     kernel: "ScoringKernel",
     objective: Objective,
@@ -89,7 +73,6 @@ def select_exhaustive(
     return None if best is None else list(best)
 
 
-@declares_access(relevance_only_access)
 def exhaustive_best(
     instance: DiversificationInstance,
     kernel: "ScoringKernel | None" = None,
@@ -102,7 +85,6 @@ def exhaustive_best(
     return selection_result(kernel, instance.objective, indices)
 
 
-@declares_access(relevance_only_access)
 def select_best_modular(
     kernel: "ScoringKernel", objective: Objective, k: int
 ) -> list[int] | None:
@@ -122,7 +104,6 @@ def select_best_modular(
     return sorted(candidates, key=lambda i: scores[i], reverse=True)[:k]
 
 
-@declares_access(relevance_only_access)
 def best_modular(
     instance: DiversificationInstance,
     kernel: "ScoringKernel | None" = None,
@@ -137,7 +118,6 @@ def best_modular(
     return selection_result(kernel, instance.objective, indices)
 
 
-@declares_access(_bnb_access)
 def select_branch_and_bound_max_sum(
     kernel: "ScoringKernel", objective: Objective, k: int
 ) -> list[int] | None:
@@ -239,7 +219,6 @@ def select_branch_and_bound_max_sum(
     return [candidates[i] for i in best_set]
 
 
-@declares_access(_bnb_access)
 def branch_and_bound_max_sum(
     instance: DiversificationInstance,
     kernel: "ScoringKernel | None" = None,

@@ -29,13 +29,7 @@ from typing import TYPE_CHECKING
 
 from ..core.instance import DiversificationInstance
 from ..core.objectives import Objective, ObjectiveKind
-from .substrate import (
-    KernelAccess,
-    SearchResult,
-    declares_access,
-    ensure_kernel,
-    selection_result,
-)
+from .substrate import SearchResult, ensure_kernel, selection_result
 
 if TYPE_CHECKING:
     from ..engine.kernel import ScoringKernel
@@ -50,23 +44,6 @@ __all__ = [
 ]
 
 
-def _pair_greedy_access(objective: Objective) -> str:
-    """Pair greedy scans available×available distance blocks at λ > 0;
-    at λ = 0 the pair weights are pure relevance and no distance is read."""
-    if objective.lam == 0.0:
-        return KernelAccess.ROWS_ONLY
-    return KernelAccess.FULL_MATRIX
-
-
-def _marginal_greedy_access(objective: Objective) -> str:
-    """Marginal greedy reads only the distance rows of its ≤ k picks;
-    at λ = 0 the gains never read the matrix at all."""
-    if objective.lam == 0.0:
-        return KernelAccess.ROWS_ONLY
-    return KernelAccess.SELECTED_ROWS
-
-
-@declares_access(_pair_greedy_access)
 def select_greedy_max_sum(
     kernel: "ScoringKernel", objective: Objective, k: int
 ) -> list[int] | None:
@@ -97,7 +74,6 @@ def select_greedy_max_sum(
     return chosen
 
 
-@declares_access(_pair_greedy_access)
 def greedy_max_sum(
     instance: DiversificationInstance,
     kernel: "ScoringKernel | None" = None,
@@ -110,7 +86,6 @@ def greedy_max_sum(
     return selection_result(kernel, instance.objective, indices)
 
 
-@declares_access(KernelAccess.SELECTED_ROWS)
 def select_greedy_max_min(
     kernel: "ScoringKernel", objective: Objective, k: int
 ) -> list[int] | None:
@@ -140,7 +115,6 @@ def select_greedy_max_min(
     return chosen
 
 
-@declares_access(KernelAccess.SELECTED_ROWS)
 def greedy_max_min(
     instance: DiversificationInstance,
     kernel: "ScoringKernel | None" = None,
@@ -153,7 +127,6 @@ def greedy_max_min(
     return selection_result(kernel, instance.objective, indices)
 
 
-@declares_access(_marginal_greedy_access)
 def select_greedy_marginal_max_sum(
     kernel: "ScoringKernel", objective: Objective, k: int
 ) -> list[int] | None:
@@ -184,7 +157,6 @@ def select_greedy_marginal_max_sum(
     return chosen
 
 
-@declares_access(_marginal_greedy_access)
 def greedy_marginal_max_sum(
     instance: DiversificationInstance,
     kernel: "ScoringKernel | None" = None,

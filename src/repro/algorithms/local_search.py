@@ -23,13 +23,7 @@ from typing import TYPE_CHECKING
 from ..core.instance import DiversificationInstance
 from ..core.objectives import Objective
 from ..relational.schema import Row
-from .substrate import (
-    SearchResult,
-    declares_access,
-    ensure_kernel,
-    relevance_only_access,
-    selection_result,
-)
+from .substrate import SearchResult, ensure_kernel, selection_result
 
 if TYPE_CHECKING:
     from ..core.constraints import ConstraintSet
@@ -38,7 +32,6 @@ if TYPE_CHECKING:
 __all__ = ["local_search", "select_local_search"]
 
 
-@declares_access(relevance_only_access)
 def select_local_search(
     kernel: "ScoringKernel",
     objective: Objective,
@@ -87,7 +80,6 @@ def select_local_search(
     return current
 
 
-@declares_access(relevance_only_access)
 def local_search(
     instance: DiversificationInstance,
     seed: Sequence[Row] | None = None,

@@ -22,13 +22,7 @@ from typing import TYPE_CHECKING
 
 from ..core.instance import DiversificationInstance
 from ..core.objectives import Objective
-from .substrate import (
-    KernelAccess,
-    SearchResult,
-    declares_access,
-    ensure_kernel,
-    selection_result,
-)
+from .substrate import SearchResult, ensure_kernel, selection_result
 
 if TYPE_CHECKING:
     from ..engine.kernel import ScoringKernel
@@ -36,7 +30,6 @@ if TYPE_CHECKING:
 __all__ = ["mmr_select", "select_mmr"]
 
 
-@declares_access(KernelAccess.SELECTED_ROWS)
 def select_mmr(
     kernel: "ScoringKernel",
     objective: Objective,
@@ -63,7 +56,6 @@ def select_mmr(
     return chosen
 
 
-@declares_access(KernelAccess.SELECTED_ROWS)
 def mmr_select(
     instance: DiversificationInstance,
     lam: float | None = None,

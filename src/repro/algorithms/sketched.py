@@ -26,12 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.objectives import Objective, ObjectiveKind
-from .substrate import (
-    ApproxCertificate,
-    KernelAccess,
-    SelectionResult,
-    declares_access,
-)
+from .substrate import ApproxCertificate, SelectionResult
 
 if TYPE_CHECKING:
     from ..engine.kernel import ScoringKernel
@@ -95,7 +90,6 @@ def certified_result(
     )
 
 
-@declares_access(KernelAccess.SAMPLED_COLUMNS)
 def select_sketched_marginal_max_sum(
     kernel: "ScoringKernel", objective: Objective, k: int
 ) -> SelectionResult | None:
@@ -127,7 +121,6 @@ def select_sketched_marginal_max_sum(
     return certified_result(kernel, objective, chosen)
 
 
-@declares_access(KernelAccess.SAMPLED_COLUMNS)
 def select_sketched_mmr(
     kernel: "ScoringKernel",
     objective: Objective,
@@ -157,7 +150,6 @@ def select_sketched_mmr(
     return certified_result(kernel, objective, chosen)
 
 
-@declares_access(KernelAccess.SAMPLED_COLUMNS)
 def select_sketched_max_min(
     kernel: "ScoringKernel", objective: Objective, k: int
 ) -> SelectionResult | None:

@@ -32,12 +32,7 @@ from typing import TYPE_CHECKING
 from ..core.evaluator import max_min_value, max_sum_value
 from ..core.objectives import Objective, ObjectiveError, ObjectiveKind
 from ..relational.schema import Row
-from .substrate import (
-    ApproxCertificate,
-    KernelAccess,
-    SelectionResult,
-    declares_access,
-)
+from .substrate import ApproxCertificate, SelectionResult
 
 if TYPE_CHECKING:
     from ..workloads.streaming import StreamingWebSearch
@@ -228,7 +223,6 @@ class StreamingGreedySelector:
         )
 
 
-@declares_access(KernelAccess.ROWS_ONLY)
 def select_streaming_greedy(
     stream: "StreamingWebSearch",
     k: int,

@@ -16,32 +16,17 @@ There is deliberately no non-kernel scoring loop left anywhere: the
 pure-Python kernel backend *is* the no-NumPy path, so one loop per
 algorithm serves both backends and every caller (engine, facade, CLI).
 
-**Capability negotiation.**  Selectors additionally *declare* how much
-of the distance matrix they actually read, as a :class:`KernelAccess`
-level attached via :func:`declares_access`:
-
-* ``ROWS_ONLY`` — relevance vector only, no distance ever (modular
-  top-k; any F_MS path at λ = 0);
-* ``SAMPLED_COLUMNS`` — m landmark distance columns (m ≪ n), the
-  sketched approximate selectors;
-* ``SELECTED_ROWS`` — exact distance rows of the ≤ k chosen items only
-  (MMR, GMC, marginal greedy);
-* ``FULL_MATRIX`` — arbitrary pairwise reads (local search, the exact
-  optimizers, pair-greedy at λ > 0).
-
-The engine resolves a selector's declaration against the concrete
-objective (:func:`resolve_access`) and hands it to
-``kernel_for_instance(access=...)``, which plans storage from the
-declared need instead of materializing eagerly.  Declarations are a
-*ceiling*, not a schedule: a selector may read less than it declared,
-never more.  Custom selectors that don't declare anything default to
-``FULL_MATRIX`` — the historical implicit contract, still fully
-supported.
+Selectors declare nothing about which distances they read: the kernel
+allocates its distance storage on the first distance read
+(:meth:`~repro.engine.kernel.ScoringKernel.distance_between` and every
+other distance accessor), so a selection that reads none — modular
+top-k, any F_MS at λ = 0 — never allocates it.  On tiled storage a
+selection that reads a few rows also builds only the tiles they touch.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,79 +38,6 @@ if TYPE_CHECKING:
     from ..engine.kernel import ScoringKernel
 
 SearchResult = tuple[float, tuple[Row, ...]]
-
-
-class KernelAccess:
-    """The data-access levels a selector can declare, coarse to fine.
-
-    Levels are plain strings (wire/config friendly) with a documented
-    severity order for planning: ``ROWS_ONLY`` < ``SAMPLED_COLUMNS`` <
-    ``SELECTED_ROWS`` < ``FULL_MATRIX``.  :meth:`requires_matrix` is the
-    planning predicate the kernel uses — only ``FULL_MATRIX`` justifies
-    materializing distance storage ahead of the first read.
-    """
-
-    ROWS_ONLY = "rows_only"
-    SAMPLED_COLUMNS = "sampled_columns"
-    SELECTED_ROWS = "selected_rows"
-    FULL_MATRIX = "full_matrix"
-
-    #: Every recognized level, in severity order.
-    LEVELS = (ROWS_ONLY, SAMPLED_COLUMNS, SELECTED_ROWS, FULL_MATRIX)
-
-    @classmethod
-    def check(cls, access: str) -> str:
-        if access not in cls.LEVELS:
-            raise ValueError(
-                f"unknown kernel access {access!r}; choose one of {cls.LEVELS}"
-            )
-        return access
-
-    @classmethod
-    def requires_matrix(cls, access: str) -> bool:
-        """Does this level warrant eager full-matrix materialization?"""
-        return cls.check(access) == cls.FULL_MATRIX
-
-
-#: A selector's declaration: either one constant level, or a resolver
-#: ``(objective) -> level`` for objective-dependent needs (e.g. pair
-#: greedy is ROWS_ONLY at λ = 0 but FULL_MATRIX at λ > 0).
-AccessSpec = "str | Callable[[Objective], str]"
-
-
-def declares_access(spec) -> Callable:
-    """Decorator attaching a :class:`KernelAccess` declaration to a
-    selector (or its row-based adapter).  ``spec`` is a level constant
-    or an ``(objective) -> level`` resolver."""
-
-    def attach(func):
-        func.kernel_access = spec
-        return func
-
-    return attach
-
-
-def resolve_access(selector: Callable, objective: "Objective") -> str:
-    """The access level ``selector`` needs for ``objective``.
-
-    Undeclared selectors resolve to ``FULL_MATRIX`` — the historical
-    implicit contract, so pre-existing custom selectors keep their
-    eager-materialization behaviour unchanged.
-    """
-    spec = getattr(selector, "kernel_access", None)
-    if spec is None:
-        return KernelAccess.FULL_MATRIX
-    if callable(spec):
-        spec = spec(objective)
-    return KernelAccess.check(spec)
-
-
-def relevance_only_access(objective: "Objective") -> str:
-    """The common resolver shape: ROWS_ONLY when the objective never
-    invokes δ_dis (relevance-only), FULL_MATRIX otherwise."""
-    if objective.relevance_only:
-        return KernelAccess.ROWS_ONLY
-    return KernelAccess.FULL_MATRIX
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,13 @@ an append-only spill segment that row reads are served from).  One
 :class:`DiversificationEngine`; it is validated once and held by
 reference.
 
-Whether a matrix is needed *at all* is negotiated: selectors declare a
-:class:`~repro.algorithms.substrate.KernelAccess` level, and kernels
-planned below ``FULL_MATRIX`` defer materialization.
-``storage="sketched"`` (:class:`SketchedStorage`) keeps only m landmark
-distance columns for the ``--approx`` selectors — the sub-quadratic
-plan; exact reads against a sketched kernel fall back to a lazy tiled
-grid, so nothing is ever approximated without opting in.
+Whether a matrix is needed *at all* is observed, not declared: a
+kernel allocates its distance storage on the first distance read, so a
+selection that reads none (modular top-k, any F_MS at λ = 0) never
+allocates it.  ``storage="sketched"`` (:class:`SketchedStorage`) keeps
+only m landmark distance columns for the ``--approx`` selectors — the
+sub-quadratic plan; exact reads against a sketched kernel fall back to
+a lazy tiled grid, so nothing is ever approximated without opting in.
 """
 
 from .engine import (

@@ -44,11 +44,7 @@ from ..algorithms.sketched import (
     select_sketched_max_min,
     select_sketched_mmr,
 )
-from ..algorithms.substrate import (
-    ApproxCertificate,
-    KernelAccess,
-    resolve_access,
-)
+from ..algorithms.substrate import ApproxCertificate
 from ..api import (
     DiversifyRequest,
     EngineConfig,
@@ -88,21 +84,12 @@ def modular_top_k(
     return best_modular(instance, kernel)
 
 
-modular_top_k.kernel_access = best_modular.kernel_access
-
-
 def _mmr(instance, kernel=None):
     return mmr_select(instance, kernel=kernel)
 
 
-_mmr.kernel_access = mmr_select.kernel_access
-
-
 def _local_search(instance, kernel=None):
     return local_search(instance, kernel=kernel)
-
-
-_local_search.kernel_access = local_search.kernel_access
 
 
 ALGORITHMS: dict[
@@ -121,7 +108,7 @@ ALGORITHMS: dict[
     "branch_and_bound_max_sum": branch_and_bound_max_sum,
 }
 
-#: The sketched (SAMPLED_COLUMNS) counterpart of each approximable
+#: The sketched (landmark-column) counterpart of each approximable
 #: exact selector.  ``run()`` dispatches here only when the engine
 #: config opted in (``approx=True``), the objective actually reads
 #: distances (λ > 0 — at λ = 0 the exact path is already sub-quadratic)
@@ -337,8 +324,8 @@ class DiversificationEngine:
         observability hook the service's ``stats()`` surfaces.  Every
         kernel reports the uniform :meth:`ScoringKernel.storage_stats`
         shape, so this sums the numeric counters across all storage
-        kinds (dense kernels contribute their resident bytes; deferred
-        kernels contribute zeros)."""
+        kinds (dense kernels contribute their resident bytes; kernels
+        that have read no distance yet contribute zeros)."""
         totals = dict.fromkeys(STORAGE_COUNTERS, 0)
         for kernel in self._cache.values():
             stats = kernel.storage_stats()
@@ -358,11 +345,7 @@ class DiversificationEngine:
             id(objective.distance),
         )
 
-    def kernel_for(
-        self,
-        instance: DiversificationInstance,
-        access: str | None = None,
-    ) -> ScoringKernel:
+    def kernel_for(self, instance: DiversificationInstance) -> ScoringKernel:
         """The cached kernel for this instance's materialization, built
         on first use.  Cached kernels hold strong references to their
         query/db/function objects, so the ``id``-based key cannot be
@@ -376,13 +359,10 @@ class DiversificationEngine:
         rebuilt; beyond the threshold it is rebuilt and the displaced
         snapshot is accounted in ``stats.stale_rebuilds``.
 
-        ``access`` is the requesting selector's declared
-        :class:`~repro.algorithms.substrate.KernelAccess` level; a fresh
-        build below ``FULL_MATRIX`` defers matrix materialization (the
-        kernel still materializes lazily if a full-matrix consumer later
-        shares it from the cache, so sharing across access levels is
-        always sound — deferral only shifts *when* storage fills, never
-        which floats it holds)."""
+        A fresh build holds no distance storage until its first distance
+        read, so one cached kernel serves relevance-only and
+        distance-reading selectors alike: allocation only shifts *when*
+        storage fills, never which floats it holds."""
         key = self._cache_key(instance)
         kernel = self._cache.get(key)
         if kernel is not None and kernel.matches(instance):
@@ -398,12 +378,7 @@ class DiversificationEngine:
                 self.stats.patches += 1
                 return kernel
             self.stats.stale_rebuilds += 1
-        kernel = kernel_for_instance(
-            instance,
-            use_numpy=self.use_numpy,
-            config=self.config,
-            access=access,
-        )
+        kernel = kernel_for_instance(instance, use_numpy=self.use_numpy, config=self.config)
         self._cache[key] = kernel
         self._cache.move_to_end(key)
         self.stats.misses += 1
@@ -633,8 +608,8 @@ class DiversificationEngine:
                 f"unknown algorithm {name!r}; choose one of {sorted(ALGORITHMS)}"
             ) from None
         reused_before = self.stats.hits + self.stats.patches
+        kernel = self.kernel_for(instance)
         if self._use_approx(name, instance):
-            kernel = self.kernel_for(instance, access=KernelAccess.SAMPLED_COLUMNS)
             selection = _SKETCHED_SELECTORS[name](
                 kernel, instance.objective, instance.k
             )
@@ -649,9 +624,6 @@ class DiversificationEngine:
                 indices=selection.indices,
                 certificate=selection.certificate,
             )
-        kernel = self.kernel_for(
-            instance, access=resolve_access(func, instance.objective)
-        )
         result = func(instance, kernel)
         if result is None:
             return None

@@ -32,7 +32,11 @@ of tiles — built on first touch, optionally in parallel
 (``workers``), optionally narrowed to float32 at rest (``dtype``) —
 which removes the O(n²)-contiguous-allocation ceiling on pool size.
 Every matrix read/write below delegates through the storage object, and
-reductions always run in float64 regardless of the storage dtype.
+reductions always run in float64 regardless of the storage dtype.  The
+storage object itself is allocated on the first distance read, for
+every storage kind: construction scores the relevance vector only, so a
+selection that never reads a distance (modular top-k, F_MS at λ = 0)
+never allocates the matrix, and no selector has to say so in advance.
 
 The kernel is NumPy-backed when NumPy is importable and falls back to a
 pure-Python implementation with identical semantics otherwise (the
@@ -138,7 +142,6 @@ class ScoringKernel:
         self,
         instance: "DiversificationInstance",
         use_numpy: bool | None = None,
-        defer_distances: bool = False,
         config: EngineConfig | None = None,
     ):
         if use_numpy is None:
@@ -173,19 +176,12 @@ class ScoringKernel:
             self._rel = _np.asarray(rel, dtype=_np.float64)
         else:
             self._rel = [float(v) for v in rel]
-        # ``defer_distances=True`` skips distance storage entirely until
-        # a distance is actually read — relevance-only (λ = 0) modular
-        # selection never reads one, and any later reader triggers
-        # materialization transparently.  Tiled storage is additionally
-        # lazy *within* the matrix: allocating it builds no tiles.
-        # Sketched kernels never build exact storage eagerly: the whole
-        # point of the plan is that the sketch absorbs the bulk reads
-        # and exact reads stay a lazily-tiled exception.
+        # Distance storage is allocated by the first distance read, in
+        # _require_dist, never here: a selection that reads no distance
+        # (modular top-k, F_MS at λ = 0) never pays for it.
         self._storage: KernelStorage | None = None
         self._sketch: SketchedStorage | None = None
         self._row_sums = None
-        if not defer_distances and config.storage != "sketched":
-            self._materialize_distances()
         self._item_scores_cache = {}
 
     def _build_distance_block(self, a0: int, a1: int, b0: int, b1: int):
@@ -214,36 +210,33 @@ class ScoringKernel:
         the lazy block builder does."""
         return self.provider, self.answers
 
-    def _materialize_distances(self) -> None:
-        """Allocate the distance storage.
-
-        Dense storage fills the whole matrix here (eager, the historical
-        behaviour); tiled storage allocates an empty grid and scores
-        tiles on first touch — :meth:`materialize_all` forces the full
-        build (in parallel when ``workers`` > 1).  Sketched kernels keep
-        their *exact* reads on a lazy tiled grid: only the tiles a
-        selector actually touches (typically none) are ever scored, and
-        the landmark columns live in :meth:`sketch` instead.
-        """
-        self._storage = make_storage(
-            self.n,
-            self._build_distance_block,
-            self.backend == "numpy",
-            self.config,
-            pool_source=self._pool_snapshot,
-        )
-        self._row_sums = None
-
     def _require_dist(self) -> KernelStorage:
+        """The distance storage, allocated on the first distance read —
+        the one place that decides when storage exists.
+
+        Dense storage fills the whole matrix here; tiled storage
+        allocates an empty grid and scores tiles on first touch —
+        :meth:`materialize_all` forces the full build (in parallel when
+        ``workers`` > 1).  Sketched kernels keep their *exact* reads on
+        a lazy tiled grid: only the tiles a selector actually touches
+        (typically none) are ever scored, and the landmark columns live
+        in :meth:`sketch` instead.
+        """
         if self._storage is None:
-            self._materialize_distances()
+            self._storage = make_storage(
+                self.n,
+                self._build_distance_block,
+                self.backend == "numpy",
+                self.config,
+                pool_source=self._pool_snapshot,
+            )
         return self._storage
 
     @property
     def distances_materialized(self) -> bool:
-        """False while a ``defer_distances`` kernel has not yet allocated
-        distance storage.  Note that tiled storage is lazy internally:
-        see :attr:`distances_fully_built` for "every pair scored"."""
+        """False until the first distance read allocates distance
+        storage.  Note that tiled storage is lazy internally: see
+        :attr:`distances_fully_built` for "every pair scored"."""
         return self._storage is not None
 
     @property
@@ -267,9 +260,9 @@ class ScoringKernel:
         Every storage kind reports the same shape — ``kind`` plus the
         full :data:`~repro.engine.storage.STORAGE_COUNTERS` set — so
         aggregators (`/stats`, benches) never special-case.  Dense
-        storage is one resident "tile" of n² float64s; a
-        ``defer_distances`` kernel that has not allocated storage yet
-        reports ``kind='deferred'`` with zero counters.
+        storage is one resident "tile" of n² float64s; a kernel that
+        has not read a distance yet has no storage and reports
+        ``kind='deferred'`` with zero counters.
         """
         stats = {"kind": "deferred", **dict.fromkeys(STORAGE_COUNTERS, 0)}
         storage = self._storage
@@ -852,38 +845,15 @@ def kernel_for_instance(
     instance: "DiversificationInstance",
     use_numpy: bool | None = None,
     config: EngineConfig | None = None,
-    access: str | None = None,
 ) -> ScoringKernel:
-    """Build a kernel sized to the instance's objective — and, when the
-    caller negotiated one, to the selector's declared data access.
+    """Build the kernel for ``instance`` — the one construction call
+    every non-engine entry point (the legacy row-based algorithm
+    signatures, the dispersion view) and the engine's cache share.
 
-    Relevance-only F_MS (λ = 0, Theorem 8.2) is solved from the
-    relevance vector alone, so its kernel defers distance storage
-    entirely; any consumer that does read a distance later pays the
-    materialization then.  ``access`` (a
-    :class:`~repro.algorithms.substrate.KernelAccess` level, typically
-    resolved by the engine from the selector's declaration) extends that
-    policy uniformly: any level below ``FULL_MATRIX`` defers distance
-    storage, since the selector promised not to read the whole matrix —
-    deferral never changes *what* the storage holds once built, only
-    *when* it is built, so the exactness contract is untouched.  With
-    ``access=None`` (or ``FULL_MATRIX``) the historical behaviour is
-    preserved verbatim.
-
-    Every non-engine entry point (the legacy row-based algorithm
-    signatures, the dispersion view) builds kernels through here so the
-    deferral policy lives in one place; ``config`` (a
-    :class:`repro.api.EngineConfig`) is the storage policy, handed to the
-    kernel as is — the engine passes its own.
+    ``config`` (a :class:`repro.api.EngineConfig`) is the storage
+    policy, handed to the kernel as is — the engine passes its own.
+    Distance storage is not built here: the kernel allocates it on the
+    first distance read, so relevance-only selections (Theorems 5.4 and
+    8.2) never pay for it.
     """
-    objective = instance.objective
-    defer = objective.kind is ObjectiveKind.MAX_SUM and objective.relevance_only
-    if access is not None:
-        from ..algorithms.substrate import KernelAccess
-
-        # Access-driven deferral is strictly monotone: it can only defer
-        # *more* than the historical policy, never materialize earlier.
-        defer = defer or not KernelAccess.requires_matrix(access)
-    return ScoringKernel(
-        instance, use_numpy=use_numpy, defer_distances=defer, config=config
-    )
+    return ScoringKernel(instance, use_numpy=use_numpy, config=config)

@@ -10,7 +10,7 @@ that seam: a :class:`KernelStorage` contract plus two implementations.
 
 * :class:`DenseStorage` — the previous behaviour, verbatim: one
   contiguous float64 matrix (NumPy 2-D array or list-of-lists), filled
-  eagerly at construction from blocked provider calls.  The default.
+  in full from blocked provider calls when it is created.  The default.
 * :class:`TiledStorage` — the matrix stays a grid of ``block_size``-square
   tiles.  Tiles are built **lazily** on first touch (a selector that
   reads only some rows never pays for the rest), only on-or-above the
@@ -24,6 +24,9 @@ that seam: a :class:`KernelStorage` contract plus two implementations.
   precision), and optionally **bounded** (an LRU tile budget whose
   evicted tiles rebuild on touch, or with ``spill_dir`` go to one
   append-only segment file that spilled row reads are served from).
+
+A kernel creates its storage on its first distance read, whatever the
+kind, so a kernel that never reads a distance holds none.
 
 Storage reads its knobs off the kernel's :class:`~repro.api.EngineConfig`,
 held by reference; :meth:`~repro.api.EngineConfig.validate` is the one
@@ -883,6 +886,9 @@ class TiledStorage(KernelStorage):
             self.config,
             pool_source=self._pool_source,
         )
+        # One counter set across patches: the patched grid reports the
+        # cumulative counts, the old grid's reads during this patch too.
+        new._counters = self._counters
         if not self.is_fully_built:
             # A partially-built grid is cheaper to re-derive lazily from
             # the new snapshot than to patch: untouched tiles were never

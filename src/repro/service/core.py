@@ -47,7 +47,7 @@ import contextlib
 import time
 import zlib
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from ..api import DiversifyRequest, DiversifyResponse, EngineConfig
@@ -119,19 +119,7 @@ class ServiceConfig:
             )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "engine": self.engine.to_dict(),
-            "algorithm": self.algorithm,
-            "result_ttl": self.result_ttl,
-            "result_cache_size": self.result_cache_size,
-            "coalesce": self.coalesce,
-            "max_concurrent": self.max_concurrent,
-            "max_k": self.max_k,
-            "max_answer_set": self.max_answer_set,
-            "max_sweep_cells": self.max_sweep_cells,
-            "approx_over": self.approx_over,
-            "engine_shards": self.engine_shards,
-        }
+        return asdict(self)
 
 
 class DiversificationService:
@@ -152,13 +140,10 @@ class DiversificationService:
             clock=clock,
         )
         self.telemetry = EndpointTelemetry()
-        self._engines: dict[str, DiversificationEngine] = {}
-        # Shards >= 1 of a tenant's engine map (shard 0 is the
-        # historical ``_engines[tenant]``); locks mirror the same split.
-        self._engine_shards: dict[tuple[str, int], DiversificationEngine] = {}
+        # One engine, and one lock, per (tenant, shard).
+        self._engines: dict[tuple[str, int], DiversificationEngine] = {}
+        self._locks: dict[tuple[str, int], asyncio.Lock] = {}
         self._approx_engines: dict[str, DiversificationEngine] = {}
-        self._locks: dict[str, asyncio.Lock] = {}
-        self._shard_locks: dict[tuple[str, int], asyncio.Lock] = {}
         self._active: dict[str, int] = {}
         self._inflight: dict[tuple, asyncio.Future] = {}
         # Last computed selection per request key — the `previous` that
@@ -199,42 +184,27 @@ class DiversificationService:
         return shard
 
     def engine_for(self, tenant: str, shard: int = 0) -> DiversificationEngine:
-        """The tenant's engine for ``shard`` (created lazily from the
-        shared config).  Shard 0 is the historical per-tenant engine."""
-        engine = self._engines.get(tenant)
-        if engine is None:
-            engine = DiversificationEngine(
-                algorithm=self.config.algorithm, config=self.config.engine
-            )
-            self._engines[tenant] = engine
-            self._locks[tenant] = asyncio.Lock()
-            self._active[tenant] = 0
-        if shard == 0:
-            return engine
-        shard_engine = self._engine_shards.get((tenant, shard))
-        if shard_engine is None:
-            shard_engine = DiversificationEngine(
-                algorithm=self.config.algorithm, config=self.config.engine
-            )
-            self._engine_shards[(tenant, shard)] = shard_engine
-            self._shard_locks[(tenant, shard)] = asyncio.Lock()
-        return shard_engine
+        """The tenant's engine for ``shard``, created lazily from the
+        shared config together with its lock.  A tenant's first request
+        creates its shard-0 engine too, the one ``engine_for(tenant)``
+        names."""
+        for key in ((tenant, 0), (tenant, shard)):
+            if key not in self._engines:
+                self._engines[key] = DiversificationEngine(
+                    algorithm=self.config.algorithm, config=self.config.engine
+                )
+                self._locks[key] = asyncio.Lock()
+        self._active.setdefault(tenant, 0)
+        return self._engines[(tenant, shard)]
 
-    def _lock_for(self, tenant: str, shard: int = 0) -> asyncio.Lock:
-        if shard == 0:
-            return self._locks[tenant]
-        return self._shard_locks[(tenant, shard)]
+    def _tenant_shards(self, tenant: str) -> list[tuple[str, int]]:
+        """The ``(tenant, shard)`` keys of a tenant's live engines, in
+        ascending shard order."""
+        return sorted(key for key in self._engines if key[0] == tenant)
 
     def _tenant_engines(self, tenant: str) -> list[DiversificationEngine]:
         """Every live engine shard of a tenant, shard 0 first."""
-        engines = []
-        if tenant in self._engines:
-            engines.append(self._engines[tenant])
-        for shard in range(1, self.config.engine_shards):
-            engine = self._engine_shards.get((tenant, shard))
-            if engine is not None:
-                engines.append(engine)
-        return engines
+        return [self._engines[key] for key in self._tenant_shards(tenant)]
 
     def approx_engine_for(self, tenant: str) -> DiversificationEngine:
         """The tenant's sketched-path engine for ``approx_over``
@@ -247,7 +217,7 @@ class DiversificationService:
             return self.engine_for(tenant)
         engine = self._approx_engines.get(tenant)
         if engine is None:
-            self.engine_for(tenant)  # ensure the tenant lock exists
+            self.engine_for(tenant)  # register the tenant
             engine = DiversificationEngine(
                 algorithm=self.config.algorithm,
                 config=replace(
@@ -364,7 +334,7 @@ class DiversificationService:
             self._inflight[key] = future
         self._active[request.tenant] += 1
         try:
-            async with self._lock_for(request.tenant, shard):
+            async with self._locks[(request.tenant, shard)]:
                 payload = await asyncio.to_thread(compute)
             self.computed += 1
             future.set_result(payload)
@@ -513,7 +483,6 @@ class DiversificationService:
                 f"workload {workload!r} has no update feed; use a "
                 "streaming workload for /delta"
             )
-        self.engine_for(tenant)  # ensure shard-0 bookkeeping exists
         request = (
             DiversifyRequest(
                 workload=workload,
@@ -609,13 +578,10 @@ class DiversificationService:
 
         # The update mutates the workload's shared database, which every
         # shard's kernels snapshot — hold all of the tenant's live shard
-        # locks (shard 0 first, then ascending) for the duration.
+        # locks (in ascending shard order) for the duration.
         async with contextlib.AsyncExitStack() as stack:
-            await stack.enter_async_context(self._locks[tenant])
-            for s in range(1, self.config.engine_shards):
-                lock = self._shard_locks.get((tenant, s))
-                if lock is not None:
-                    await stack.enter_async_context(lock)
+            for key in self._tenant_shards(tenant):
+                await stack.enter_async_context(self._locks[key])
             payload = await asyncio.to_thread(compute)
 
         # The database moved: every cached result naming this workload is
@@ -648,7 +614,7 @@ class DiversificationService:
         result-cache and per-tenant kernel-cache stats, and per-endpoint
         latency percentiles."""
         tenants = {}
-        for tenant in sorted(self._engines):
+        for tenant in sorted({tenant for tenant, _ in self._engines}):
             engines = self._tenant_engines(tenant)
             # Counters aggregate over the tenant's shard engines; at
             # engine_shards=1 this is exactly the historical payload

@@ -86,6 +86,10 @@ class TestParity:
         workload = StreamingWebSearch(num_docs=25, num_intents=5, seed=37)
         instance = workload.make_instance(k=5, lam=0.0)  # modular F_MS
         kernel = ScoringKernel(instance, use_numpy=False)
+        # λ = 0 reads no distance; build the storage anyway so every
+        # delta of the trace patches it too.
+        kernel.materialize_all()
+        assert kernel.distances_materialized
         solver = ALGORITHMS["modular_top_k"]
         previous = solver(instance, kernel)[1]
         kept = 0

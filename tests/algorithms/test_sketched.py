@@ -23,7 +23,7 @@ from repro.algorithms.streaming import (
     StreamingGreedySelector,
     select_streaming_greedy,
 )
-from repro.algorithms.substrate import ApproxCertificate, KernelAccess
+from repro.algorithms.substrate import ApproxCertificate
 from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveError, ObjectiveKind
 from repro.core.providers import LANDMARK_STRATEGIES, ProviderError
@@ -260,6 +260,3 @@ class TestStreamingSelector:
             )
         # λ = 0 F_MS is fine — still a submodular-style swap objective.
         StreamingGreedySelector(stream.provider, stream.query, objective, 3)
-
-    def test_declared_access_is_rows_only(self):
-        assert select_streaming_greedy.kernel_access == KernelAccess.ROWS_ONLY

@@ -1,14 +1,17 @@
-"""Capability negotiation: declared access drives storage planning.
+"""Distance storage is allocated on the first distance read.
 
-Selectors declare a :class:`KernelAccess` level; the engine plans each
-kernel build from it.  The observable contract tested here:
+No selector declares what it reads; the kernel observes it.  The
+observable contract tested here:
 
-* engine runs for ``ROWS_ONLY`` / ``SAMPLED_COLUMNS`` selectors never
-  build full-matrix storage at all (a counting ``make_storage`` spy
-  sees zero calls);
-* ``FULL_MATRIX`` selectors still build storage exactly as before;
-* relevance-only (λ = 0) kernels stay deferred through build *and*
-  through delta patching (the ``defer_distances`` interaction gap);
+* a fresh kernel of any storage kind, on either backend, holds no
+  distance storage; the first distance read allocates it exactly once,
+  and the floats equal a fully materialized kernel's;
+* engine runs that read no distance (modular top-k, F_MS at λ = 0, the
+  sketched ``approx`` selectors) never build distance storage at all (a
+  counting ``make_storage`` spy sees zero calls), while runs that read
+  distances build it as before;
+* relevance-only (λ = 0) kernels stay unallocated through build *and*
+  through delta patching;
 * opting in to ``approx`` reroutes sketch-capable algorithms through
   the sketched selectors with a certificate, while ``approx=False`` on
   sketched storage — and every λ = 0 solve — stays exact,
@@ -18,15 +21,28 @@ kernel build from it.  The observable contract tested here:
 import pytest
 
 import repro.engine.kernel as kernel_module
-from repro.algorithms.substrate import KernelAccess, resolve_access
 from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveKind
-from repro.engine import DiversificationEngine, EngineResult, numpy_available
-from repro.engine.engine import ALGORITHMS
+from repro.engine import (
+    DiversificationEngine,
+    EngineResult,
+    ScoringKernel,
+    numpy_available,
+)
 from repro.workloads.streaming import StreamingWebSearch
 from repro.workloads.synthetic import random_instance
 
 BACKENDS = [False] + ([True] if numpy_available() else [])
+
+STORAGE_CONFIGS = {
+    "dense": EngineConfig(),
+    "tiled": EngineConfig(storage="tiled", block_size=4),
+    "sketched": EngineConfig(storage="sketched", block_size=4),
+}
+
+
+def distance_matrix(kernel):
+    return [[kernel.distance_between(i, j) for j in range(kernel.n)] for i in range(kernel.n)]
 
 
 @pytest.fixture
@@ -35,44 +51,41 @@ def storage_spy(monkeypatch):
     calls = []
     real = kernel_module.make_storage
 
-    def spy(kind, *args, **kwargs):
-        calls.append(kind)
-        return real(kind, *args, **kwargs)
+    def spy(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
 
     monkeypatch.setattr(kernel_module, "make_storage", spy)
     return calls
 
 
-class TestDeclaredAccess:
-    def test_every_algorithm_resolves(self):
-        instance = random_instance(n=10, k=3, lam=0.5, seed=0)
-        for name, func in ALGORITHMS.items():
-            level = resolve_access(func, instance.objective)
-            assert level in (
-                KernelAccess.ROWS_ONLY,
-                KernelAccess.SAMPLED_COLUMNS,
-                KernelAccess.SELECTED_ROWS,
-                KernelAccess.FULL_MATRIX,
-            ), name
+class TestFirstReadAllocates:
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
+    @pytest.mark.parametrize("storage", sorted(STORAGE_CONFIGS))
+    def test_first_distance_read_allocates_once(self, storage_spy, storage, use_numpy):
+        config = STORAGE_CONFIGS[storage]
+        instance = random_instance(n=10, k=3, lam=0.5, seed=2)
+        kernel = ScoringKernel(instance, use_numpy=use_numpy, config=config)
+        # The engine's cached kernel for a λ > 0 F_MS instance, which
+        # pair greedy reads pair by pair, starts without storage too.
+        cached = DiversificationEngine(use_numpy=use_numpy, config=config).kernel_for(instance)
+        for fresh in (kernel, cached):
+            assert fresh.distances_materialized is False
+            assert fresh.storage_stats()["kind"] == "deferred"
+        assert storage_spy == []
 
-    def test_relevance_only_demotes_to_rows_only(self):
-        lam0 = random_instance(n=10, k=3, lam=0.0, seed=0)
-        lam5 = random_instance(n=10, k=3, lam=0.5, seed=0)
-        for name in ("greedy_max_sum", "greedy_marginal_max_sum", "local_search"):
-            func = ALGORITHMS[name]
-            assert resolve_access(func, lam0.objective) == KernelAccess.ROWS_ONLY
-            assert resolve_access(func, lam5.objective) != KernelAccess.ROWS_ONLY
+        first = kernel.distance_between(1, 7)
+        assert storage_spy == [kernel.n]
+        assert kernel.distances_materialized
+        reads = distance_matrix(kernel)
+        assert len(storage_spy) == 1
+        assert not cached.distances_materialized
 
-    def test_undeclared_selector_defaults_to_full_matrix(self):
-        instance = random_instance(n=10, k=3, lam=0.5, seed=0)
-
-        def legacy_selector(inst, kernel):  # no declares_access
-            return 0.0, []
-
-        assert (
-            resolve_access(legacy_selector, instance.objective)
-            == KernelAccess.FULL_MATRIX
-        )
+        reference = ScoringKernel(instance, use_numpy=use_numpy, config=config)
+        reference.materialize_all()
+        assert reference.distances_fully_built
+        assert first == reference.distance_between(1, 7)
+        assert reads == distance_matrix(reference)
 
 
 class TestStoragePlanning:
@@ -115,13 +128,11 @@ class TestStoragePlanning:
         assert len(storage_spy) >= 1
 
     def test_selected_rows_defers_until_first_distance_read(self, storage_spy):
-        """mmr declares SELECTED_ROWS: the build itself allocates no
-        storage — only the first actual distance read does."""
+        """mmr reads only the rows it picks: the build itself allocates
+        no storage — only the first actual distance read does."""
         instance = random_instance(n=20, k=4, lam=0.5, seed=1)
         engine = DiversificationEngine()
-        kernel = engine.kernel_for(
-            instance, access=KernelAccess.SELECTED_ROWS
-        )
+        kernel = engine.kernel_for(instance)
         assert storage_spy == []
         assert not kernel.distances_materialized
         engine.run(instance, "mmr")
@@ -129,8 +140,8 @@ class TestStoragePlanning:
 
 
 class TestDeferredDeltaRegression:
-    """The satellite-2 gap: a λ = 0 relevance-only kernel must stay
-    matrix-free through its whole lifecycle, including delta patching."""
+    """A λ = 0 relevance-only kernel must stay matrix-free through its
+    whole lifecycle, including delta patching."""
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
     def test_lam0_kernel_stays_deferred_across_updates(self, use_numpy):
@@ -152,18 +163,20 @@ class TestDeferredDeltaRegression:
         assert not kernel.distances_materialized
 
     def test_deferred_kernel_materializes_for_full_matrix_consumer(self):
-        """Sharing across access levels is monotone-safe: the same
-        cached kernel lazily materializes when a FULL_MATRIX algorithm
-        arrives, and its floats match a never-deferred run."""
+        """Sharing across selectors is safe: the same cached kernel
+        allocates storage when a distance-reading algorithm arrives, and
+        its floats match a fresh engine's run."""
         instance = random_instance(n=20, k=4, lam=0.0, seed=4)
         engine = DiversificationEngine()
         engine.run(instance, "greedy_max_sum")
         [kernel] = engine._cache.values()
         assert not kernel.distances_materialized
 
-        shifted = instance.objective.with_lambda(0.7)
-        full = engine.run(instance.with_objective(shifted), "greedy_max_sum")
-        assert full is not None
+        shifted = instance.with_objective(instance.objective.with_lambda(0.7))
+        full = engine.run(shifted, "greedy_max_sum")
+        assert full.kernel_reused and kernel.distances_materialized
+        fresh = DiversificationEngine().run(shifted, "greedy_max_sum")
+        assert (full.value, full.rows) == (fresh.value, fresh.rows)
 
 
 class TestApproxDispatch:

@@ -53,6 +53,7 @@ from repro.engine.parallel import (
     build_blocks,
     validate_workers,
 )
+from repro.engine.storage import STORAGE_COUNTERS
 from repro.workloads.synthetic import random_instance
 
 BACKENDS = [False] + ([True] if numpy_available() else [])
@@ -548,6 +549,36 @@ class TestSpilling:
         assert spilled.storage_stats()["spills"] > 0
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
+    @pytest.mark.parametrize("built", ["fully", "partially"])
+    def test_counters_survive_a_delta(self, use_numpy, built, tmp_path):
+        """A patched grid carries the cumulative counters on, and the
+        reads the patch itself makes of the spilled old grid count."""
+        instance = random_instance(n=60, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=4)
+        kernel = tiled_kernel(
+            instance,
+            use_numpy,
+            block_size=8,
+            max_resident_tiles=4,
+            spill_dir=str(tmp_path),
+        )
+        if built == "fully":
+            kernel.materialize_all()
+        for i in range(0, 16, 3):  # rows of tile-rows 0 and 1 only
+            kernel.copy_distance_row(i)
+        assert kernel.distances_fully_built == (built == "fully")
+        before = kernel.storage_stats()
+        assert before["spills"] > 0 and before["mmap_reads"] > 0
+        rows = list(instance.answers())
+        kernel.apply_delta(inserted=[rows[3]], deleted=[rows[1], rows[10]])
+        after = kernel.storage_stats()
+        cumulative = set(STORAGE_COUNTERS) - {"resident_tiles", "resident_bytes"}
+        assert all(after[name] >= before[name] for name in cumulative), after
+        if built == "fully":
+            # Patching tile by tile loads every spilled old tile back.
+            assert after["spill_loads"] > before["spill_loads"]
+            assert after["bytes_mapped"] > before["bytes_mapped"]
+
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
     @pytest.mark.parametrize("failure", ["not_a_directory", "disk_full"])
     def test_failed_spills_degrade_to_rebuilds(
         self, use_numpy, failure, tmp_path, monkeypatch, caplog
@@ -594,11 +625,11 @@ class TestSpilling:
 
     def test_storage_stats_surface(self):
         instance = random_instance(n=10, k=3, seed=1)
-        deferred = ScoringKernel(instance, use_numpy=False, defer_distances=True)
-        stats = deferred.storage_stats()
-        assert stats["kind"] == "deferred"
-        assert stats["resident_bytes"] == 0
         dense = ScoringKernel(instance, use_numpy=False)
+        stats = dense.storage_stats()
+        assert stats["kind"] == "deferred"  # no distance read yet
+        assert stats["resident_bytes"] == 0
+        dense.distance_between(0, 1)
         stats = dense.storage_stats()
         assert stats["kind"] == "dense"
         assert stats["resident_tiles"] == 1
@@ -665,7 +696,7 @@ def _snapshot(seed, n=12):
     instance = random_instance(
         n=n, k=3, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=seed
     )
-    kernel = ScoringKernel(instance, use_numpy=False, defer_distances=True)
+    kernel = ScoringKernel(instance, use_numpy=False)
     return kernel.provider, tuple(instance.answers())
 
 

@@ -131,6 +131,8 @@ def test_apply_delta_via_provider_matches_rebuild(use_numpy):
     instance = workload.make_instance(k=5)
     kernel = ScoringKernel(instance, use_numpy=use_numpy)
     assert kernel.provider is workload.provider
+    kernel.materialize_all()  # the patch, not a lazy rebuild, is under test
+    assert kernel.distances_materialized
     for _ in range(8):
         workload.step()
         instance.invalidate_cache()
@@ -149,6 +151,9 @@ def test_apply_delta_provider_equals_scalar_patch(use_numpy):
     slow_instance = slow_workload.make_instance(k=4, use_provider=False)
     fast = ScoringKernel(fast_instance, use_numpy=use_numpy)
     slow = ScoringKernel(slow_instance, use_numpy=use_numpy)
+    for kernel in (fast, slow):
+        kernel.materialize_all()  # patch built storage, event by event
+        assert kernel.distances_materialized
     for _ in range(6):
         fast_workload.step()
         slow_workload.step()

@@ -108,12 +108,15 @@ class TestLaziness:
             n=20, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=1
         )
         kernel = tiled_kernel(instance, use_numpy, block_size=5)
+        assert not kernel.distances_materialized
+        assert not kernel.distances_fully_built
+        # The first read allocates the grid and builds one off-diagonal
+        # tile — allocating builds none.
+        kernel.distance_between(0, 19)
         storage = kernel._storage
         assert isinstance(storage, TiledStorage)
-        assert storage.tiles_built == 0
-        assert not kernel.distances_fully_built
-        kernel.distance_between(0, 19)  # one off-diagonal tile
         assert storage.tiles_built == 1
+        assert not kernel.distances_fully_built
         kernel.copy_distance_row(0)  # the rest of tile-row 0
         assert storage.tiles_built == storage._nb
         kernel.materialize_all()
@@ -127,11 +130,10 @@ class TestLaziness:
             n=12, k=3, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=3
         )
         kernel = tiled_kernel(instance, use_numpy, block_size=4)
-        storage = kernel._storage
         a = kernel.distance_between(1, 10)
         b = kernel.distance_between(10, 1)
         assert a == b
-        assert storage.tiles_built == 1
+        assert kernel._storage.tiles_built == 1
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
     def test_parallel_build_identical(self, use_numpy):
@@ -148,6 +150,8 @@ class TestLaziness:
 
 class TestDeltaParity:
     def mutate(self, kernel, instance):
+        # The patch is the subject: storage must exist to be remapped.
+        assert kernel.distances_materialized
         rows = list(instance.answers())
         kernel.apply_delta(inserted=[rows[3], rows[5]], deleted=[rows[1], rows[8]])
 
@@ -158,6 +162,7 @@ class TestDeltaParity:
             n=14, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=5
         )
         dense = ScoringKernel(instance, use_numpy=use_numpy)
+        dense.materialize_all()
         tiled = tiled_kernel(instance, use_numpy, block_size=block_size)
         tiled.materialize_all()
         self.mutate(dense, instance)
@@ -173,6 +178,7 @@ class TestDeltaParity:
             n=14, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=5
         )
         dense = ScoringKernel(instance, use_numpy=use_numpy)
+        dense.materialize_all()
         tiled = tiled_kernel(instance, use_numpy, block_size=4)
         tiled.distance_between(0, 13)  # partial touch only
         self.mutate(dense, instance)
@@ -308,6 +314,7 @@ class TestValidation:
         with pytest.raises(KernelError, match="serially"):
             config_kernel(instance, workers=4)
         kernel = config_kernel(instance, workers=1)
+        kernel.distance_between(0, 1)
         assert kernel.storage_stats()["kind"] == "dense"
 
     def test_policy_travels_only_in_config(self):

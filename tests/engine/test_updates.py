@@ -26,6 +26,15 @@ from repro.workloads.synthetic import random_instance
 BACKENDS = [False] + ([True] if numpy_available() else [])
 
 
+def built_kernel(instance, use_numpy: bool = False) -> ScoringKernel:
+    """A kernel whose distance storage exists, so a delta remaps it: a
+    kernel that has read no distance has no storage to patch."""
+    kernel = ScoringKernel(instance, use_numpy=use_numpy)
+    kernel.materialize_all()
+    assert kernel.distances_materialized
+    return kernel
+
+
 def assert_kernels_equal(patched: ScoringKernel, fresh: ScoringKernel):
     assert patched.n == fresh.n
     assert patched.answers == fresh.answers
@@ -52,7 +61,7 @@ class TestComputeDelta:
     def test_stale_kernel_freshened_by_patch(self):
         workload = StreamingWebSearch(num_docs=10, seed=19)
         instance = workload.make_instance(k=3)
-        kernel = ScoringKernel(instance, use_numpy=False)
+        kernel = built_kernel(instance)
         workload.step()
         instance.invalidate_cache()
         assert not kernel.is_fresh_for(instance)
@@ -102,7 +111,7 @@ class TestApplyDelta:
     def test_randomized_trace_parity(self, use_numpy):
         workload = StreamingWebSearch(num_docs=25, num_intents=5, seed=11)
         instance = workload.make_instance(k=5)
-        kernel = ScoringKernel(instance, use_numpy=use_numpy)
+        kernel = built_kernel(instance, use_numpy)
         for _ in range(30):
             workload.step()
             instance.invalidate_cache()
@@ -116,7 +125,7 @@ class TestApplyDelta:
     def test_batched_delta_parity(self, use_numpy):
         workload = StreamingWebSearch(num_docs=20, num_intents=4, seed=23)
         instance = workload.make_instance(k=4)
-        kernel = ScoringKernel(instance, use_numpy=use_numpy)
+        kernel = built_kernel(instance, use_numpy)
         for _ in range(5):  # several updates folded into one delta
             for _ in range(6):
                 workload.step()
@@ -146,7 +155,7 @@ class TestApplyDelta:
 
         workload = StreamingWebSearch(num_docs=15, seed=5)
         instance = workload.make_instance(k=4)
-        kernel = ScoringKernel(instance, use_numpy=False)
+        kernel = built_kernel(instance)
         for _ in range(8):
             workload.step()
         instance.invalidate_cache()
@@ -157,7 +166,7 @@ class TestApplyDelta:
     def test_item_scores_cache_invalidated(self):
         workload = StreamingWebSearch(num_docs=10, seed=7)
         instance = workload.make_instance(k=3, lam=0.0)
-        kernel = ScoringKernel(instance, use_numpy=False)
+        kernel = built_kernel(instance)
         stale_scores = kernel.item_scores(instance.objective)
         workload.step()
         instance.invalidate_cache()
@@ -178,7 +187,7 @@ class TestApplyDelta:
         # Inject duplicates (evaluation itself is set-semantics, but the
         # kernel contract must survive snapshots that carry them).
         instance._result_cache = answers[:3] + answers[2:3] + answers[3:]
-        kernel = ScoringKernel(instance, use_numpy=use_numpy)
+        kernel = built_kernel(instance, use_numpy)
         assert kernel.n == 9
         # Deleting one occurrence of the duplicated row keeps the other.
         kernel.apply_delta((), (answers[2],))
@@ -239,7 +248,7 @@ def test_mono_instance_patch_parity():
     instance = DiversificationInstance(
         workload.query, workload.db, k=4, objective=objective
     )
-    kernel = ScoringKernel(instance, use_numpy=False)
+    kernel = built_kernel(instance)
     for _ in range(6):
         workload.step()
         instance.invalidate_cache()

@@ -76,7 +76,7 @@ class TestPlacement:
 
     def test_shard_engines_are_created_lazily(self):
         service = make_service(engine_shards=4)
-        assert len(service._engine_shards) == 0
+        assert len(service._engines) == 0
         requests = requests_on_distinct_shards(service, count=2)
 
         async def scenario():
@@ -84,11 +84,10 @@ class TestPlacement:
                 await service.diversify(request)
 
         run(scenario())
-        live = {
-            service.shard_of(r.corpus_key()) for r in requests if
-            service.shard_of(r.corpus_key()) != 0
-        }
-        assert len(service._engine_shards) == len(live)
+        # The tenant's shard-0 engine plus one per shard that served.
+        live = {0} | {service.shard_of(r.corpus_key()) for r in requests}
+        assert set(service._engines) == {("default", s) for s in live}
+        assert set(service._locks) == set(service._engines)
 
 
 class TestCorpusAffinity:

@@ -1,10 +1,19 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -201,9 +210,6 @@ class TestEngineDispatch:
         capsys.readouterr()
         data = json.loads(open(db_json).read())
         data["relations"][0]["rows"].append([6, "d", 10])
-        import os
-        import time
-
         with open(db_json, "w") as fh:
             fh.write(json.dumps(data))
         # Guarantee a fingerprint change even on coarse mtime clocks.
@@ -306,3 +312,39 @@ class TestSharedEngineFlags:
         code = main(self.BASE + ["--db", db_json, "--cache-stats"])
         assert code == 0
         assert "F = " in capsys.readouterr().out
+
+
+class TestServeShutdown:
+    def test_sigterm_removes_spill_segments(self, tmp_path):
+        """SIGTERM stops ``serve`` the way Ctrl-C does: it exits 0 and
+        leaves no ``tiles-*`` spill directory behind."""
+        spill = tmp_path / "spill"
+        path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        command = [sys.executable, "-m", "repro", "serve", "--port", "0", "--storage", "tiled"]
+        command += ["--block-size", "8", "--max-resident-tiles", "2", "--spill-dir", str(spill)]
+        server = subprocess.Popen(
+            command,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        )
+        try:
+            line = server.stdout.readline()
+            url = re.search(r"serving on (http://\S+)", line).group(1)
+            body = {"workload": "synthetic", "params": {"n": 40}, "k": 5}
+            request = urllib.request.Request(
+                f"{url}/diversify",
+                data=json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert response.status == 200
+            assert list(spill.glob("tiles-*"))
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=60) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+        assert not list(spill.glob("tiles-*"))
