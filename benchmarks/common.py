@@ -10,13 +10,7 @@ constraints arrive) appear as order-of-magnitude gaps at equal sizes.
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import platform
 import random
-from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core.functions import DistanceFunction, RelevanceFunction
 from repro.core.instance import DiversificationInstance
@@ -28,63 +22,6 @@ from repro.relational.schema import Database, Relation, RelationSchema
 from repro.workloads.synthetic import euclidean_distance, random_database
 
 ITEMS = RelationSchema("items", ("id", "category", "score", "x", "y"))
-
-
-def host_info(**extra) -> dict:
-    """The uniform host-provenance block every ``BENCH_*.json`` carries.
-
-    Absolute timings only compare within one host; this block is what a
-    perf-trajectory reader keys on before trusting a comparison.
-    ``extra`` keys (e.g. ``resolved_workers``, ``parallel_speedup``)
-    extend the block per benchmark."""
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    from repro.engine.parallel import available_cpus
-
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "available_cpus": available_cpus(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        **extra,
-    }
-
-
-def _jsonable(value):
-    """Non-finite floats → ``None``, recursively.  RFC 8259 JSON has no
-    ``NaN``/``Infinity`` literal; benches use NaN for "does not apply"
-    (e.g. recall on an uncut baseline) and inf for zero-denominator
-    speedups, and both must cross the wire as ``null``."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
-def write_json(path, payload) -> None:
-    """Write a ``BENCH_*.json`` artifact in strict JSON.
-
-    Every bench emits its machine-readable payload through here so the
-    NaN→null policy lives in one place.  The round-trip ``json.loads``
-    below is the gate: its ``parse_constant`` hook fires only on the
-    non-strict tokens (``NaN``/``Infinity``/``-Infinity``) that the
-    default loads would silently accept, so a sanitizer regression
-    fails the bench run instead of shipping an unparseable artifact.
-    """
-    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
-
-    def reject(token):
-        raise ValueError(f"non-strict JSON token {token!r} in {path}")
-
-    json.loads(text, parse_constant=reject)
-    Path(path).write_text(text)
 
 
 def three_sat(l: int, num_vars: int = 4, seed: int = 7) -> ThreeSatInstance:
@@ -127,431 +64,6 @@ def data_instance(
         lam,
     )
     return DiversificationInstance(identity_query(ITEMS), db, k=k, objective=objective)
-
-
-@dataclass
-class EngineBenchRecord:
-    """One direct-vs-kernel comparison from ``bench_engine.py``.
-
-    ``direct_seconds`` is the per-instance objective-callable path;
-    ``engine_seconds`` is the same batch through the
-    :class:`repro.engine.DiversificationEngine` (kernel precompute
-    included), so the speedup is end-to-end, not just the inner loop.
-    """
-
-    scenario: str
-    algorithm: str
-    n: int
-    batch: int
-    backend: str
-    direct_seconds: float
-    engine_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        if self.engine_seconds <= 0.0:
-            return float("inf")
-        return self.direct_seconds / self.engine_seconds
-
-
-def _render_table(
-    title: str, header: tuple[str, ...], body: list[tuple[str, ...]]
-) -> str:
-    """An aligned text table: title, underline, header, rows."""
-    rows = [header] + body
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = [title, "-" * len(title)]
-    for idx, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
-def render_engine_report(
-    records: list[EngineBenchRecord],
-    title: str = "engine vs direct path",
-) -> str:
-    """An aligned text table of engine benchmark records."""
-    header = ("scenario", "algorithm", "n", "batch", "backend",
-              "direct [s]", "engine [s]", "speedup")
-    body = [
-        (
-            r.scenario,
-            r.algorithm,
-            str(r.n),
-            str(r.batch),
-            r.backend,
-            f"{r.direct_seconds:.4f}",
-            f"{r.engine_seconds:.4f}",
-            f"{r.speedup:.2f}x",
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
-
-
-@dataclass
-class UpdateBenchRecord:
-    """One patch-vs-rebuild comparison from ``bench_updates.py``.
-
-    ``updates_per_solve`` is the regime: how many database updates land
-    between consecutive engine solves (1 = every update served
-    immediately; higher values batch updates into larger deltas, where
-    patching progressively loses its edge over rebuilding).
-    """
-
-    scenario: str
-    n: int
-    events: int
-    updates_per_solve: int
-    backend: str
-    patch_seconds: float
-    rebuild_seconds: float
-    patches: int
-    stale_rebuilds: int
-
-    @property
-    def speedup(self) -> float:
-        if self.patch_seconds <= 0.0:
-            return float("inf")
-        return self.rebuild_seconds / self.patch_seconds
-
-    def as_dict(self) -> dict:
-        payload = dict(self.__dict__)
-        payload["speedup"] = self.speedup
-        return payload
-
-
-def render_update_report(
-    records: "list[UpdateBenchRecord]",
-    title: str = "kernel patch vs rebuild",
-) -> str:
-    """An aligned text table of update-maintenance benchmark records."""
-    header = ("scenario", "n", "events", "upd/solve", "backend",
-              "patch [s]", "rebuild [s]", "speedup", "patches", "rebuilds")
-    body = [
-        (
-            r.scenario,
-            str(r.n),
-            str(r.events),
-            str(r.updates_per_solve),
-            r.backend,
-            f"{r.patch_seconds:.4f}",
-            f"{r.rebuild_seconds:.4f}",
-            f"{r.speedup:.2f}x",
-            str(r.patches),
-            str(r.stale_rebuilds),
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
-
-
-@dataclass
-class KernelBuildRecord:
-    """One kernel-construction measurement from ``bench_kernel_build.py``.
-
-    ``mode`` names the construction path: ``scalar-adapter`` (the
-    pre-provider behaviour — n(n−1)/2 Python calls through the wrapped
-    callables), ``batch-loop`` (the provider interface with
-    vectorization disabled: blocked scalar loops over the raw metric),
-    or ``feature-space`` (the vectorized fast path).  ``speedup`` is
-    measured against the scalar-adapter build at the same (n, backend).
-    """
-
-    scenario: str
-    mode: str
-    n: int
-    backend: str
-    build_seconds: float
-    speedup: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def render_kernel_build_report(
-    records: "list[KernelBuildRecord]",
-    title: str = "kernel construction by scoring path",
-) -> str:
-    """An aligned text table of kernel-construction benchmark records."""
-    header = ("scenario", "mode", "n", "backend", "build [s]", "speedup")
-    body = [
-        (
-            r.scenario,
-            r.mode,
-            str(r.n),
-            r.backend,
-            f"{r.build_seconds:.4f}",
-            f"{r.speedup:.2f}x",
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
-
-
-@dataclass
-class StorageBenchRecord:
-    """One kernel-storage measurement from ``bench_storage.py``.
-
-    ``config`` names the storage policy (``dense-f64``, ``tiled-f64``,
-    ``tiled-f32``, ``tiled-parallel``); ``build_seconds`` is the full
-    materialization (construction + every tile built) and ``peak_bytes``
-    the tracemalloc peak over one cold build.  ``peak_ratio`` and
-    ``build_speedup`` are relative to the dense-f64 baseline at the same
-    ``(n, backend)``.
-    """
-
-    scenario: str
-    config: str
-    n: int
-    backend: str
-    dtype: str
-    workers: int
-    build_seconds: float
-    peak_bytes: int
-    peak_ratio: float
-    build_speedup: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def render_storage_report(
-    records: "list[StorageBenchRecord]",
-    title: str = "kernel storage: memory and build time",
-) -> str:
-    """An aligned text table of kernel-storage benchmark records."""
-    header = ("scenario", "config", "n", "backend", "dtype", "workers",
-              "build [s]", "peak [MiB]", "peak ratio", "speedup")
-    body = [
-        (
-            r.scenario,
-            r.config,
-            str(r.n),
-            r.backend,
-            r.dtype,
-            str(r.workers),
-            f"{r.build_seconds:.4f}",
-            f"{r.peak_bytes / (1024 * 1024):.1f}",
-            f"{r.peak_ratio:.2f}",
-            f"{r.build_speedup:.2f}x",
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
-
-
-@dataclass
-class SketchBenchRecord:
-    """One sketched-vs-full-matrix measurement from ``bench_sketch.py``.
-
-    ``config`` names the kernel plan (``dense-f64``, ``tiled-f64``,
-    ``sketched``); ``seconds`` covers build **plus** the greedy F_MS
-    selection (the sketched plan never materializes a matrix, so build
-    alone would flatter it) and ``peak_bytes`` the tracemalloc peak over
-    that cold build+select.  ``peak_ratio`` is relative to dense-f64 at
-    the same ``(n, backend)`` (NaN when dense is out of reach at this
-    n); ``quality`` is the achieved fraction of the exact marginal-
-    greedy F_MS (1.0 for the exact configs); ``columns`` is the sketch
-    width m (0 for full-matrix configs).
-    """
-
-    scenario: str
-    config: str
-    n: int
-    backend: str
-    columns: int
-    seconds: float
-    peak_bytes: int
-    peak_ratio: float
-    quality: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def render_sketch_report(
-    records: "list[SketchBenchRecord]",
-    title: str = "sketched selection: memory and quality",
-) -> str:
-    """An aligned text table of sketch benchmark records."""
-    header = ("scenario", "config", "n", "backend", "m",
-              "build+select [s]", "peak [MiB]", "peak ratio", "quality")
-    body = [
-        (
-            r.scenario,
-            r.config,
-            str(r.n),
-            r.backend,
-            str(r.columns) if r.columns else "-",
-            f"{r.seconds:.4f}",
-            f"{r.peak_bytes / (1024 * 1024):.1f}",
-            f"{r.peak_ratio:.3f}" if r.peak_ratio == r.peak_ratio else "n/a",
-            f"{r.quality:.4f}",
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
-
-
-@dataclass
-class HeuristicsBenchRecord:
-    """One heuristic-vs-exact measurement from ``bench_heuristics.py``.
-
-    ``quality`` is the achieved fraction of the exact optimum (NaN when
-    the optimum is out of exact reach at this size); ``seconds`` is the
-    engine-path wall time for the heuristic, kernel precompute included
-    on the first algorithm per instance and reused after.
-    """
-
-    objective: str
-    algorithm: str
-    n: int
-    k: int
-    lam: float
-    backend: str
-    seconds: float
-    exact_seconds: float
-    quality: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def render_heuristics_report(
-    records: "list[HeuristicsBenchRecord]",
-    title: str = "heuristics vs exact optimizers",
-) -> str:
-    """An aligned text table of heuristic benchmark records."""
-    header = ("objective", "algorithm", "n", "k", "lam", "backend",
-              "heur [s]", "exact [s]", "quality")
-    body = [
-        (
-            r.objective,
-            r.algorithm,
-            str(r.n),
-            str(r.k),
-            f"{r.lam:g}",
-            r.backend,
-            f"{r.seconds:.4f}",
-            f"{r.exact_seconds:.4f}" if r.exact_seconds == r.exact_seconds else "-",
-            f"{r.quality:.4f}" if r.quality == r.quality else "-",
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
-
-
-@dataclass
-class ServiceBenchRecord:
-    """One serving-layer measurement from ``bench_service.py``.
-
-    ``baseline_seconds`` serves the trace with coalescing and the TTL
-    cache disabled (every request runs the selector; the kernel LRU
-    still deduplicates the O(n²) build); ``service_seconds`` is the
-    same trace with both on.  ``computed``/``coalesced``/``cache_hits``
-    are the service-side counters — together they must account for
-    every request, which the bench asserts before reporting.
-    """
-
-    scenario: str
-    requests: int
-    distinct: int
-    backend: str
-    baseline_seconds: float
-    service_seconds: float
-    computed: int
-    coalesced: int
-    cache_hits: int
-
-    @property
-    def speedup(self) -> float:
-        if self.service_seconds <= 0.0:
-            return float("inf")
-        return self.baseline_seconds / self.service_seconds
-
-    def as_dict(self) -> dict:
-        payload = dict(self.__dict__)
-        payload["speedup"] = self.speedup
-        return payload
-
-
-def render_service_report(
-    records: "list[ServiceBenchRecord]",
-    title: str = "serving layer: coalescing + TTL cache vs naive",
-) -> str:
-    """An aligned text table of serving-layer benchmark records."""
-    header = ("scenario", "requests", "distinct", "backend",
-              "naive [s]", "service [s]", "speedup", "computed",
-              "coalesced", "ttl hits")
-    body = [
-        (
-            r.scenario,
-            str(r.requests),
-            str(r.distinct),
-            r.backend,
-            f"{r.baseline_seconds:.4f}",
-            f"{r.service_seconds:.4f}",
-            f"{r.speedup:.2f}x",
-            str(r.computed),
-            str(r.coalesced),
-            str(r.cache_hits),
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
-
-
-@dataclass
-class RetrievalBenchRecord:
-    """One retrieval-front-end measurement from ``bench_retrieval.py``.
-
-    ``stage`` names what was timed: ``index`` (BM25 + ANN construction
-    over the corpus), ``retrieve`` (one hybrid cut to ``pool`` rows),
-    ``diversify-pool`` (kernel build + selection over the cut),
-    ``e2e`` (retrieve + diversify, the serving path), or
-    ``dense-baseline`` (diversifying an uncut answer set of ``n`` rows —
-    the O(n²) wall the front end removes).  ``recall`` is the cut's
-    overlap with exact exhaustive scoring at the same pool size (NaN
-    where it does not apply).
-    """
-
-    scenario: str
-    stage: str
-    n: int
-    pool: int
-    retriever: str
-    backend: str
-    seconds: float
-    recall: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def render_retrieval_report(
-    records: "list[RetrievalBenchRecord]",
-    title: str = "retrieval front end: corpus -> pool -> kernel",
-) -> str:
-    """An aligned text table of retrieval benchmark records."""
-    header = ("scenario", "stage", "n", "pool", "retriever", "backend",
-              "seconds", "recall")
-    body = [
-        (
-            r.scenario,
-            r.stage,
-            str(r.n),
-            str(r.pool) if r.pool else "-",
-            r.retriever,
-            r.backend,
-            f"{r.seconds:.4f}",
-            f"{r.recall:.4f}" if r.recall == r.recall else "-",
-        )
-        for r in records
-    ]
-    return _render_table(title, header, body)
 
 
 def integer_score_instance(

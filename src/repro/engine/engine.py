@@ -62,7 +62,7 @@ from ..retrieval import DEFAULT_POOL_SIZE, CandidateRetriever, RetrievalResult
 from .kernel import ScoringKernel, kernel_for_instance
 from .parallel import warm_pool_registry
 from .storage import STORAGE_COUNTERS
-from .updates import compute_delta
+from .updates import KernelDelta, compute_delta
 
 SearchResult = tuple[float, tuple[Row, ...]]
 
@@ -345,7 +345,9 @@ class DiversificationEngine:
             id(objective.distance),
         )
 
-    def kernel_for(self, instance: DiversificationInstance) -> ScoringKernel:
+    def kernel_for(
+        self, instance: DiversificationInstance, *, with_delta: bool = False
+    ) -> ScoringKernel | tuple[ScoringKernel | None, KernelDelta | None]:
         """The cached kernel for this instance's materialization, built
         on first use.  Cached kernels hold strong references to their
         query/db/function objects, so the ``id``-based key cannot be
@@ -362,22 +364,34 @@ class DiversificationEngine:
         A fresh build holds no distance storage until its first distance
         read, so one cached kernel serves relevance-only and
         distance-reading selectors alike: allocation only shifts *when*
-        storage fills, never which floats it holds."""
+        storage fills, never which floats it holds.
+
+        ``with_delta=True`` returns ``(kernel, delta)``: the
+        :class:`~repro.engine.updates.KernelDelta` from the cached
+        snapshot to the current Q(D) — empty on a hit, the applied patch,
+        or the diff a stale rebuild replaced.  When no cached kernel
+        matches there is no snapshot to diff: it returns ``(None, None)``
+        and builds nothing."""
         key = self._cache_key(instance)
         kernel = self._cache.get(key)
+        delta = None
         if kernel is not None and kernel.matches(instance):
             rows = instance.answers()
             if kernel.snapshot_equals(rows):
                 self._cache.move_to_end(key)
                 self.stats.hits += 1
+                if with_delta:
+                    return kernel, KernelDelta((), (), kernel.n, kernel.n)
                 return kernel
             delta = compute_delta(kernel, rows)
             if delta.size <= self.config.patch_threshold * max(kernel.n, len(rows), 1):
                 kernel.apply_delta(delta.inserted, delta.deleted)
                 self._cache.move_to_end(key)
                 self.stats.patches += 1
-                return kernel
+                return (kernel, delta) if with_delta else kernel
             self.stats.stale_rebuilds += 1
+        elif with_delta:
+            return None, None
         kernel = kernel_for_instance(instance, use_numpy=self.use_numpy, config=self.config)
         self._cache[key] = kernel
         self._cache.move_to_end(key)
@@ -385,17 +399,7 @@ class DiversificationEngine:
         while len(self._cache) > self.config.cache_size:
             self._cache.popitem(last=False)
             self.stats.evictions += 1
-        return kernel
-
-    def peek_kernel(self, instance: DiversificationInstance) -> ScoringKernel | None:
-        """The cached kernel for this instance's materialization, if one
-        is live — no build, no patching, no stats mutation.  The serving
-        layer's delta path uses this to diff the pre-update snapshot
-        (``compute_delta``) before :meth:`kernel_for` patches it."""
-        kernel = self._cache.get(self._cache_key(instance))
-        if kernel is not None and kernel.matches(instance):
-            return kernel
-        return None
+        return (kernel, delta) if with_delta else kernel
 
     def clear_cache(self) -> None:
         """Drop every cached kernel/retriever/pool — and the warm

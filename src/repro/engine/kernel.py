@@ -260,21 +260,25 @@ class ScoringKernel:
         Every storage kind reports the same shape — ``kind`` plus the
         full :data:`~repro.engine.storage.STORAGE_COUNTERS` set — so
         aggregators (`/stats`, benches) never special-case.  Dense
-        storage is one resident "tile" of n² float64s; a kernel that
-        has not read a distance yet has no storage and reports
+        storage is one resident "tile" of n² float64s.  A built landmark
+        sketch adds its n × m float64 columns to ``resident_bytes``; a
+        kernel whose only distance data is the sketch reports
+        ``kind='sketched'``, and one that holds neither reports
         ``kind='deferred'`` with zero counters.
         """
         stats = {"kind": "deferred", **dict.fromkeys(STORAGE_COUNTERS, 0)}
         storage = self._storage
-        if storage is None:
-            return stats
         if isinstance(storage, TiledStorage):
             stats["kind"] = "tiled"
             stats.update(storage.spill_stats)
-            return stats
-        stats["kind"] = "dense"
-        stats["resident_tiles"] = 1
-        stats["resident_bytes"] = self.n * self.n * 8
+        elif storage is not None:
+            stats["kind"] = "dense"
+            stats["resident_tiles"] = 1
+            stats["resident_bytes"] = self.n * self.n * 8
+        if self._sketch is not None:
+            if storage is None:
+                stats["kind"] = "sketched"
+            stats["resident_bytes"] += self._sketch.nbytes
         return stats
 
     # -- sketched (landmark-column) access ---------------------------------

@@ -1098,6 +1098,11 @@ class SketchedStorage:
     def columns(self) -> int:
         return len(self.landmark_positions)
 
+    @property
+    def nbytes(self) -> int:
+        """The n × m float64 columns' size, on either backend."""
+        return self.n * self.columns * 8
+
     # -- bound reads (all O(m) per pair, O(n·m) per row) -------------------
 
     def lower_bound(self, i: int, j: int) -> float:

@@ -529,14 +529,16 @@ class DiversificationService:
             instance, _ = self._resolve(request)
             key = request.key()
             previous = self._selections.get(key)
-            stale_kernel = engine.peek_kernel(instance)
             before = (engine.stats.patches, engine.stats.stale_rebuilds)
-            if stale_kernel is not None and previous is not None:
+            kernel = delta = None
+            if previous is not None:
+                # Patches or rebuilds the cached kernel; the delta it
+                # diffed is what the repair needs.  (None, None): nothing
+                # was cached, and the run below builds the kernel.
+                kernel, delta = engine.kernel_for(instance, with_delta=True)
+            if delta is not None:
                 from ..algorithms.incremental import repair_after_delta
-                from ..engine.updates import compute_delta
 
-                delta = compute_delta(stale_kernel, instance.answers())
-                kernel = engine.kernel_for(instance)  # patches or rebuilds
                 repair = repair_after_delta(
                     instance,
                     kernel,

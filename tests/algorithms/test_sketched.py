@@ -215,10 +215,23 @@ class TestStreamingSelector:
         selector = StreamingGreedySelector(
             stream.provider, stream.query, instance.objective, 4
         )
-        for row in instance.answers():
+        answers = instance.answers()
+        for row in answers:
             selector.offer(row)
         assert selector.peak_state <= 4 + selector.reservoir_size
-        assert selector.offered == len(instance.answers())
+        assert selector.offered == len(answers)
+        # ...and stays bounded over a live trace of arrivals and retirements.
+        for _ in range(40):
+            event = stream.step()
+            for row in event.rows:
+                if row.schema.attributes != answers[0].schema.attributes:
+                    continue
+                if event.op == "insert":
+                    selector.offer(row)
+                else:
+                    selector.retire(row)
+        assert selector.offered > len(answers)
+        assert selector.peak_state <= 4 + selector.reservoir_size
 
     def test_streaming_value_is_exact(self):
         """The selector's value equals a from-scratch evaluation of its

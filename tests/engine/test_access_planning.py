@@ -22,13 +22,15 @@ import pytest
 
 import repro.engine.kernel as kernel_module
 from repro.api import EngineConfig
-from repro.core.objectives import ObjectiveKind
+from repro.core.instance import DiversificationInstance
+from repro.core.objectives import Objective, ObjectiveKind
 from repro.engine import (
     DiversificationEngine,
     EngineResult,
     ScoringKernel,
     numpy_available,
 )
+from repro.workloads import websearch
 from repro.workloads.streaming import StreamingWebSearch
 from repro.workloads.synthetic import random_instance
 
@@ -193,8 +195,18 @@ class TestApproxDispatch:
         assert result.value == baseline.value
         assert result.rows == baseline.rows
 
-    def test_approx_run_carries_certificate(self):
-        instance = random_instance(n=40, k=5, lam=0.5, seed=6)
+    @pytest.mark.parametrize("workload", ["synthetic", "websearch"])
+    def test_approx_run_carries_certificate(self, workload):
+        if workload == "synthetic":
+            instance = random_instance(n=40, k=5, lam=0.5, seed=6)
+        else:
+            db = websearch.generate(num_docs=150, num_intents=8, seed=17)
+            objective = Objective.from_provider(
+                ObjectiveKind.MAX_SUM, websearch.scoring_provider(db), lam=0.5
+            )
+            instance = DiversificationInstance(
+                websearch.documents_query(), db, k=10, objective=objective
+            )
         engine = DiversificationEngine(
             config=EngineConfig(storage="sketched", approx=True)
         )
@@ -205,6 +217,23 @@ class TestApproxDispatch:
         assert cert.lower <= result.value <= cert.upper + 1e-9
         baseline = exact.run(instance, "greedy_marginal_max_sum")
         assert result.value >= 0.9 * baseline.value
+
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
+    def test_sketch_counts_in_storage_stats(self, use_numpy):
+        """A sketched run's only distance data is the landmark sketch:
+        the kernel and the engine totals report its n × m float64s."""
+        instance = random_instance(n=100, k=4, lam=0.5, seed=6)
+        engine = DiversificationEngine(
+            use_numpy=use_numpy, config=EngineConfig(storage="sketched", approx=True)
+        )
+        kernel = engine.kernel_for(instance)
+        assert kernel.storage_stats()["kind"] == "deferred"
+        engine.run(instance, "greedy_max_sum")
+        assert not kernel.distances_materialized
+        stats = kernel.storage_stats()
+        assert stats["kind"] == "sketched"
+        assert stats["resident_bytes"] == 100 * kernel.sketch().columns * 8 > 0
+        assert engine.storage_stats()["resident_bytes"] == stats["resident_bytes"]
 
     def test_approx_skips_relevance_only(self):
         instance = random_instance(n=25, k=4, lam=0.0, seed=7)

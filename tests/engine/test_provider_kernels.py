@@ -37,6 +37,9 @@ def provider_instances():
     provider = websearch.scoring_provider(db)
     query = websearch.documents_query()
     cases.append(("websearch", query, db, provider, 5))
+    # Blocked scalar loops through the provider interface, vectorization off.
+    loops = websearch.scoring_provider(db, vectorize=False)
+    cases.append(("websearch-loops", query, db, loops, 5))
 
     db = courses.generate(extra_courses=14, seed=1)
     cases.append(("courses", courses.catalog_query(), db, courses.scoring_provider(), 4))

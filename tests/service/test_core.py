@@ -94,6 +94,38 @@ class TestCoalescing:
         # gather may hit it or recompute, but none coalesce
         assert all(r.cache in ("computed", "cached") for r in responses)
 
+    def test_duplicate_trace_counters_naive_and_served(self):
+        """The serving gate's trace, small: 3 distinct (k, λ) keys fired 4
+        times each, two waves.  Naive serving computes every request,
+        coalescing plus the TTL cache computes each key once, and both
+        build the kernel once."""
+        unique = [
+            DiversifyRequest(workload="synthetic", params={"n": 40}, k=k, lam=lam, algorithm="mmr")
+            for k, lam in [(4, 0.2), (6, 0.5), (8, 0.8)]
+        ]
+        trace = [unique[i % 3] for i in range(12)]
+        total = 2 * len(trace)
+
+        def serve(**config):
+            service = make_service(max_concurrent=total + 1, **config)
+
+            async def scenario():
+                for _ in range(2):
+                    await asyncio.gather(*[service.diversify(r) for r in trace])
+
+            run(scenario())
+            return service
+
+        naive = serve(coalesce=False, result_ttl=0.0)
+        assert naive.computed == total
+        assert naive.coalesced == 0
+        assert naive.results.stats.hits == 0
+        served = serve()
+        assert served.computed == 3
+        assert served.coalesced + served.results.stats.hits == total - 3
+        for service in (naive, served):
+            assert service.engine_for("default").stats.misses == 1
+
     def test_leader_failure_propagates_to_followers(self):
         service = make_service()
         bad = DiversifyRequest(
@@ -331,6 +363,84 @@ class TestDelta:
         # the stale kernel was patched, not rebuilt
         assert moved["kernel"]["patches"] == 1
         assert moved["kernel"]["stale_rebuilds"] == 0
+
+    @pytest.mark.parametrize("patch_threshold", [0.5, 0.0])
+    @pytest.mark.parametrize(
+        "algorithm, events, reason, indices, value",
+        [
+            ("mmr", 2, "deletions never selected", [36, 22, 23, 4, 11], 17.254),
+            (
+                "mmr",
+                3,
+                "an inserted row's bound beats the current marginal",
+                [36, 22, 23, 4, 11],
+                17.254,
+            ),
+            (
+                "greedy_max_sum",
+                3,
+                "no sound insertion bound for 'greedy_max_sum'",
+                [22, 36, 4, 44, 11],
+                17.466,
+            ),
+        ],
+    )
+    def test_delta_diffs_once(
+        self, monkeypatch, patch_threshold, algorithm, events, reason, indices, value
+    ):
+        """One /delta diffs the answer set once — the engine's diff feeds
+        the repair — and answers as the double-diff path did."""
+        import repro.engine.engine as engine_module
+        import repro.engine.updates as updates_module
+
+        diffs = []
+        original = updates_module.compute_delta
+
+        def counting(kernel, rows):
+            diffs.append(kernel.n)
+            return original(kernel, rows)
+
+        for module in (engine_module, updates_module):
+            monkeypatch.setattr(module, "compute_delta", counting)
+        service = make_service(engine=EngineConfig(patch_threshold=patch_threshold))
+        req = DiversifyRequest(workload="streaming", k=5, algorithm=algorithm)
+
+        async def scenario():
+            await service.diversify(req)
+            return await service.delta("streaming", events=events, k=5, algorithm=algorithm)
+
+        moved = run(scenario())
+        assert len(diffs) == 1
+        rebuilt = patch_threshold == 0.0
+        assert moved["kernel"] == {"patches": int(not rebuilt), "stale_rebuilds": int(rebuilt)}
+        reran = events == 3
+        assert moved["repair"] == {"reran": reran, "reason": reason}
+        selection = moved["selection"]
+        assert selection["indices"] == indices
+        assert selection["value"] == pytest.approx(value)
+        assert selection["kernel_reused"] is not reran
+
+    def test_delta_after_eviction_builds_in_the_run(self):
+        """A /delta whose kernel left the cache has no snapshot to diff:
+        the run builds the kernel, so nothing is reused, repaired or hit."""
+        service = make_service()
+        req = DiversifyRequest(workload="streaming", k=5)
+        engine = service.engine_for(req.tenant, service.shard_for(req))
+
+        async def scenario():
+            await service.diversify(req)
+            engine.clear_cache()
+            before = (engine.stats.hits, engine.stats.misses)
+            moved = await service.delta("streaming", events=2, k=5)
+            return moved, before
+
+        moved, (hits, misses) = run(scenario())
+        assert "repair" not in moved
+        assert moved["selection"]["feasible"] is True
+        assert moved["selection"]["kernel_reused"] is False
+        assert moved["kernel"] == {"patches": 0, "stale_rebuilds": 0}
+        assert engine.stats.hits == hits
+        assert engine.stats.misses == misses + 1
 
     def test_delta_invalidates_cached_results(self):
         service = make_service()
