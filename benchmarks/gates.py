@@ -56,11 +56,9 @@ from repro.engine import (
     ALGORITHMS,
     DiversificationEngine,
     ScoringKernel,
-    available_cpus,
     compute_delta,
     numpy_available,
     variants_grid,
-    warm_pool_registry,
 )
 from repro.retrieval import recall
 from repro.service.core import DiversificationService, ServiceConfig
@@ -75,9 +73,9 @@ MAX_SUM, MAX_MIN = ObjectiveKind.MAX_SUM, ObjectiveKind.MAX_MIN
 #: Documented float32 storage envelope: one binary32 rounding per entry
 #: (≤ 2⁻²⁴ ≈ 6e-8 relative), with slack for the zero-vs-tiny edge.
 F32_REL_ENVELOPE = 1e-6
-#: Alternating serial / cold-pool samples behind the multicore ratio:
-#: one busy moment on a shared host decides a single pair.
-MULTICORE_SAMPLES = 3
+#: Alternating scalar-loop / block-native samples behind the pure-Python
+#: build ratio: one busy moment on a shared host decides a single pair.
+BUILD_SAMPLES = 3
 
 OPS = {
     "<": operator.lt,
@@ -124,14 +122,10 @@ def best_of(repeat, func):
     return best, result
 
 
-def timed_and_traced(func, prepare=None):
+def timed_and_traced(func):
     """(wall seconds of one call, tracemalloc peak bytes of a second call,
-    that call's result); ``prepare`` runs untimed before each call."""
-    if prepare is not None:
-        prepare()
+    that call's result)."""
     seconds, _ = best_of(1, func)
-    if prepare is not None:
-        prepare()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -142,14 +136,15 @@ def timed_and_traced(func, prepare=None):
     return seconds, peak, result
 
 
-def websearch_instances(count, n, k=10):
+def websearch_instances(count, n, k=10, vectorize=True):
     """``count`` same-data F_MS instances over one websearch database, each
     with its own provider (a provider's feature cache would pre-warm the
     next build) and with Q(D) evaluated, so timings cover kernel work."""
     db = websearch.generate(num_docs=n, num_intents=8, seed=17)
     instances = []
     for _ in range(count):
-        objective = Objective.from_provider(MAX_SUM, websearch.scoring_provider(db), lam=0.5)
+        provider = websearch.scoring_provider(db, vectorize=vectorize)
+        objective = Objective.from_provider(MAX_SUM, provider, lam=0.5)
         instance = DiversificationInstance(
             websearch.documents_query(), db, k=k, objective=objective
         )
@@ -453,21 +448,14 @@ STORAGE_CONFIGS = (
     ("tiled-f64", dict(storage="tiled")),
     ("tiled-f32", dict(storage="tiled", dtype="float32")),
     ("tiled-parallel", dict(storage="tiled", workers=4)),
-    ("tiled-procpool", dict(storage="tiled", workers="auto")),
-    ("tiled-warmpool", dict(storage="tiled", workers="auto")),
     ("tiled-spill", dict(storage="tiled", block_size=64, max_resident_tiles=4)),
     ("tiled-spill-dir", dict(storage="tiled", block_size=64, max_resident_tiles=4)),
 )
-#: Only pure-Python builds fan out over processes; NumPy runs
-#: :func:`numpy_fanout_records` in their place.
-PROCESS_CELLS = ("tiled-procpool", "tiled-warmpool")
 
 
 def numpy_fanout_records(n=1200, block=128):
     """A NumPy ``workers=2`` build fans out over threads: it starts no
-    process, leaves the warm-pool registry alone, stores the serial floats."""
-    registry = warm_pool_registry()
-    before = registry.stats()
+    process and stores the serial floats."""
     children = set(multiprocessing.active_children())
     serial_inst, threaded_inst = websearch_instances(2, n, k=5)
     serial = full_build(serial_inst, storage="tiled", block_size=block)
@@ -480,7 +468,6 @@ def numpy_fanout_records(n=1200, block=128):
     )
     return [
         record("numpy_workers=2.processes", started, "count", ("==", 0)),
-        check("numpy_workers=2.registry_untouched", registry.stats() == before),
         check("numpy_workers=2.matches_serial", same),
     ]
 
@@ -491,24 +478,13 @@ def case_storage(full):
     sizes = (2000, 10_000) if full else (150, 300)
     start = time.perf_counter()
     records, results = [], {}
-    registry = warm_pool_registry()
     with tempfile.TemporaryDirectory(prefix="gates-spill-") as spill_root:
         for n in sizes:
             instances = websearch_instances(len(STORAGE_CONFIGS), n)
             for (config, knobs), instance in zip(STORAGE_CONFIGS, instances):
-                if NUMPY and config in PROCESS_CELLS:
-                    continue
-                prepare = None
                 if config == "tiled-spill-dir":
                     knobs = {**knobs, "spill_dir": spill_root}
-                elif config == "tiled-procpool":
-                    prepare = registry.clear  # keep pricing the cold spawn-and-ship path
-                elif config == "tiled-warmpool":
-                    registry.clear()
-                    full_build(instance, **knobs)  # every measured build leases this pool
-                seconds, peak, kernel = timed_and_traced(
-                    lambda: full_build(instance, **knobs), prepare
-                )
+                seconds, peak, kernel = timed_and_traced(lambda: full_build(instance, **knobs))
                 results[n, config] = seconds, peak
                 name = f"n={n}.{config}"
                 records += [
@@ -532,7 +508,6 @@ def case_storage(full):
                 ]
                 del kernel  # at most two O(n²) kernels resident: dense and one other
             del dense
-        registry.clear()  # hold no worker processes after the case
     if NUMPY:
         records += numpy_fanout_records()
     if not full:
@@ -566,67 +541,28 @@ def case_lazy_tiles(full):
     ]
 
 
-def start_process_pools():
-    """One untimed pure-Python process build, then an empty registry: the
-    process's one-time multiprocessing start-up stays out of the timed
-    cold builds, as it does for every pooled build after the first."""
-    (instance,) = websearch_instances(1, 300, k=5)
-    full_build(instance, False, storage="tiled", block_size=32, workers=2)
-    warm_pool_registry().clear()
-
-
-def case_multicore(full):
-    """A pure-Python tiled build through a cold process pool against the
-    GIL-bound serial build.  Serial and pooled builds alternate, each on
-    fresh instances, with the warm-pool registry cleared before every
-    pooled one; the gate is the ratio of the median times, held where at
-    least 2 CPUs are visible (one worker resolves to the serial path)."""
+def case_python_build(full):
+    """A pure-Python tiled build scored pair by pair through the
+    provider's scalar loop (``vectorize=False``) against the same build
+    through its metric's block form.  The two alternate, each on fresh
+    instances; the gate is the ratio of the median times."""
     n, block = 2200, 64
-    instances = websearch_instances(2 * MULTICORE_SAMPLES, n, k=5)
-    registry = warm_pool_registry()
-    start_process_pools()
+    loops = websearch_instances(BUILD_SAMPLES, n, k=5, vectorize=False)
+    blocks = websearch_instances(BUILD_SAMPLES, n, k=5)
 
-    def build(instance, workers=None):
-        return full_build(instance, False, storage="tiled", block_size=block, workers=workers)
+    def build(instance):
+        return full_build(instance, False, storage="tiled", block_size=block)
 
-    serial, pooled, records = [], [], []
-    for sample in range(MULTICORE_SAMPLES):
-        serial_inst, pooled_inst = instances[2 * sample : 2 * sample + 2]
-        serial.append(best_of(1, lambda: build(serial_inst))[0])
-        registry.clear()
-        pooled.append(best_of(1, lambda: build(pooled_inst, "auto"))[0])
+    loop_s, block_s, records = [], [], []
+    for sample in range(BUILD_SAMPLES):
+        loop_s.append(best_of(1, lambda: build(loops[sample]))[0])
+        block_s.append(best_of(1, lambda: build(blocks[sample]))[0])
         records += [
-            record(f"n={n}.serial_s.{sample}", serial[-1], "s"),
-            record(f"n={n}.pooled_s.{sample}", pooled[-1], "s"),
+            record(f"n={n}.scalar_loop_s.{sample}", loop_s[-1], "s"),
+            record(f"n={n}.block_s.{sample}", block_s[-1], "s"),
         ]
-    registry.clear()
-    speedup = statistics.median(serial) / statistics.median(pooled)
-    limit = (">=", 1.5) if available_cpus() >= 2 else None
-    return records + [record(f"n={n}.median_speedup", speedup, "x", limit)]
-
-
-def case_warm_pool(full):
-    """A pure-Python process build leased from a warm pool against the cold
-    spawn-and-ship build of the same snapshot, held where ≥ 2 CPUs show."""
-    n, block = 300, 32
-    (instance,) = websearch_instances(1, n, k=5)
-    registry = warm_pool_registry()
-    start_process_pools()
-
-    def build():
-        return full_build(instance, False, storage="tiled", block_size=block, workers=2)
-
-    cold, _ = best_of(1, build)
-    warm, _ = best_of(1, build)
-    hits = registry.stats()["hits"]
-    registry.clear()
-    limit = (">=", 2.0) if available_cpus() >= 2 else None
-    return [
-        record(f"n={n}.cold_s", cold, "s"),
-        record(f"n={n}.warm_s", warm, "s"),
-        record("pool_hits", hits, "count", (">=", 1)),
-        record(f"n={n}.speedup", cold / warm, "x", limit),
-    ]
+    speedup = statistics.median(loop_s) / statistics.median(block_s)
+    return records + [record(f"n={n}.median_speedup", speedup, "x", (">=", 1.5))]
 
 
 def case_bounded_memory(full):
@@ -899,8 +835,7 @@ CASES = {
     "kernel_build": case_kernel_build,
     "storage": case_storage,
     "lazy_tiles": case_lazy_tiles,
-    "multicore": case_multicore,
-    "warm_pool": case_warm_pool,
+    "python_build": case_python_build,
     "bounded_memory": case_bounded_memory,
     "sketch": case_sketch,
     "streaming": case_streaming,

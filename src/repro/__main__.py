@@ -46,10 +46,8 @@ Both ``diversify`` and ``serve`` share one engine-policy flag set
 ``--landmarks`` / ``--approx``), layered over
 ``REPRO_*`` environment variables
 (:meth:`repro.api.EngineConfig.from_env`).  ``--workers`` is the only
-parallelism flag: the kernel backend picks the fan-out (threads with
-NumPy, a warm process pool on pure Python), and builds run serially
-when the scoring functions cannot be pickled — as for ``diversify``,
-which wraps them in closures.  Any non-default policy
+parallelism flag: NumPy builds fan out over that many threads, and
+pure-Python builds run serially.  Any non-default policy
 routes through a dedicated engine memoized on the
 :class:`~repro.api.EngineConfig`, so repeated invocations still reuse
 kernels.

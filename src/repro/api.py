@@ -131,12 +131,10 @@ class EngineConfig:
 
     * ``storage`` — kernel distance-matrix layout (``"dense"`` default /
       ``"tiled"`` / ``"sketched"``); ``dtype`` — at-rest tile dtype
-      (tiled only); ``workers`` — the one parallelism knob: pool width
-      for tile builds (an int, or ``"auto"`` for the host CPU count
-      resolved at build time).  The backend picks the fan-out — threads
-      on NumPy, a warm process pool on pure Python — and a build runs
-      serially when ``workers`` resolves to 1, when the scoring
-      snapshot does not pickle, or when the pool breaks;
+      (tiled only); ``workers`` — the one parallelism knob: thread pool
+      width for NumPy tile builds (an int, or ``"auto"`` for the host
+      CPU count resolved at build time).  Builds run serially when
+      ``workers`` resolves to 1, and pure-Python builds always do;
       ``block_size`` — rows per tile of the blocked construction;
     * ``max_resident_tiles`` / ``max_resident_bytes`` — LRU bound on
       tiles resident in memory (tiled only; evicted tiles rebuild on
@@ -403,11 +401,10 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         type=_workers_value,
         default=None,
         metavar="N|auto",
-        help="pool width for tiled/sketched matrix builds: an int, or "
-        "'auto' for the host CPU count (resolved at build time).  The "
-        "backend picks the fan-out: threads with NumPy, a warm process "
-        "pool on pure Python; builds run serially at 1 worker, when the "
-        "scoring functions cannot be pickled, or when the pool breaks",
+        help="thread pool width for tiled/sketched matrix builds with "
+        "NumPy: an int, or 'auto' for the host CPU count (resolved at "
+        "build time).  Builds run serially at 1 worker, and pure-Python "
+        "builds always do",
     )
     parser.add_argument(
         "--max-resident-tiles",

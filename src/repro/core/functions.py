@@ -37,12 +37,10 @@ def _check_non_negative(value: float, what: str) -> float:
 
 # -- picklable scoring kernels ---------------------------------------------
 #
-# The constructor library used to close over its parameters with lambdas
-# and nested functions, which made every constructed function — and any
-# provider carrying one — unpicklable.  Process-pool tile builds ship the
-# provider to worker processes, so the kernels live here as module-level
-# callable classes instead; the float behavior is op-for-op identical to
-# the closures they replace.
+# The constructor library's kernels are module-level callable classes,
+# not closures, so every constructed function — and any provider
+# carrying one — stays picklable; the float behavior is op-for-op
+# identical to the lambdas they replaced.
 
 
 class _ConstantValue:

@@ -307,9 +307,10 @@ class Metric:
     """A named distance metric over feature vectors.
 
     ``scalar(fa, fb)`` scores one feature pair; ``block(A, B)`` scores
-    the full cross block over float64 feature matrices.  The two must be
-    bit-for-bit equal — implementations keep the float operation order
-    identical (see the module docstring).
+    the full cross block over float64 feature matrices, and
+    ``python_block(A, B)`` over lists of feature tuples.  All three must
+    be bit-for-bit equal — implementations keep the float operation
+    order identical (see the module docstring).
     """
 
     name: str = "metric"
@@ -319,6 +320,28 @@ class Metric:
 
     def block(self, features_a, features_b):
         raise NotImplementedError
+
+    def python_block(
+        self, features_a: Sequence[tuple], features_b: Sequence[tuple]
+    ) -> list[list[float]]:
+        """The cross block as nested float lists: :meth:`scalar` per pair.
+
+        When ``features_a is features_b`` (a symmetric diagonal block)
+        the upper triangle is scored once and mirrored, over a zero
+        diagonal — the pair set a scalar loop over the rows scores.
+        """
+        scalar = self.scalar
+        if features_a is features_b:
+            n = len(features_a)
+            block = [[0.0] * n for _ in range(n)]
+            for i, fa in enumerate(features_a):
+                row_i = block[i]
+                for j in range(i + 1, n):
+                    value = scalar(fa, features_a[j])
+                    row_i[j] = value
+                    block[j][i] = value
+            return block
+        return [[scalar(fa, fb) for fb in features_b] for fa in features_a]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
@@ -352,7 +375,9 @@ class EuclideanMetric(Metric):
 class JaccardMetric(Metric):
     """``1 − |a∩b| / |a∪b|`` over binary (0/1) feature vectors, with the
     empty-vs-empty convention of 0.  Set sizes are exact small integers
-    in float64, so the matmul-based block path is exact."""
+    in float64, so the matmul-based block path is exact; the pure-Python
+    block counts them with one int bitmask per row, and ``int / int``
+    is correctly rounded, so every path yields the same floats."""
 
     name = "jaccard"
 
@@ -380,6 +405,35 @@ class JaccardMetric(Metric):
         with _np.errstate(divide="ignore", invalid="ignore"):
             out = 1.0 - inter / union
         return _np.where(union == 0.0, 0.0, out)
+
+    def python_block(self, features_a, features_b):
+        if len({len(f) for f in features_a} | {len(f) for f in features_b}) > 1:
+            # Ragged vectors: the scalar's zip() drops the longer tails.
+            return super().python_block(features_a, features_b)
+        masks_a = [_bitmask(f) for f in features_a]
+        masks_b = (
+            masks_a if features_b is features_a else [_bitmask(f) for f in features_b]
+        )
+        sized_b = [(mb, mb.bit_count()) for mb in masks_b]
+        block = []
+        for ma in masks_a:
+            size_a = ma.bit_count()
+            row = []
+            for mb, size_b in sized_b:
+                inter = (ma & mb).bit_count()
+                union = size_a + size_b - inter
+                row.append(1.0 - inter / union if union else 0.0)
+            block.append(row)
+        return block
+
+
+def _bitmask(features: tuple) -> int:
+    """Bit ``c`` set where feature ``c`` is truthy — the scalar's test."""
+    mask = 0
+    for c, x in enumerate(features):
+        if x:
+            mask |= 1 << c
+    return mask
 
 
 class HierarchyMetric(Metric):
@@ -482,9 +536,10 @@ class FeatureSpaceProvider(ScoringProvider):
     Feature vectors are cached per row by default (rows hash by value),
     which assumes a row's features never change while the provider is
     alive; live workloads that mutate a row's features in place must
-    pass ``cache_features=False``.  ``vectorize=False`` forces the
-    scalar-loop block path even on NumPy kernels (benchmark baseline /
-    debugging).
+    pass ``cache_features=False``.  Blocks are scored by the metric's
+    ``block`` on NumPy and its ``python_block`` on pure Python;
+    ``vectorize=False`` forces the pair-by-pair scalar loop on either
+    backend (benchmark baseline / debugging).
     """
 
     def __init__(
@@ -509,16 +564,6 @@ class FeatureSpaceProvider(ScoringProvider):
         )
         self._cache: dict[Row, tuple] | None = {} if cache_features else None
         self.vectorize = vectorize
-
-    def __getstate__(self):
-        # Process-pool builds pickle the provider once per worker; the
-        # per-row feature cache is a derived accelerator that can be huge
-        # (one tuple per touched row), so ship it empty — workers rebuild
-        # the same tuples on demand, bit-for-bit.
-        state = self.__dict__.copy()
-        if state.get("_cache") is not None:
-            state["_cache"] = {}
-        return state
 
     # -- features ---------------------------------------------------------
 
@@ -554,13 +599,23 @@ class FeatureSpaceProvider(ScoringProvider):
         rows_b: Sequence[Row],
         use_numpy: bool = False,
     ):
-        if use_numpy and self.vectorize:
-            if not rows_a or not rows_b:
-                return _np.zeros((len(rows_a), len(rows_b)))
-            features_a = self.feature_matrix(rows_a)
-            features_b = features_a if rows_a is rows_b else self.feature_matrix(rows_b)
-            return self.metric.block(features_a, features_b)
-        return super().distance_block(rows_a, rows_b, use_numpy=use_numpy)
+        if not self.vectorize:
+            return super().distance_block(rows_a, rows_b, use_numpy=use_numpy)
+        if not use_numpy:
+            # Each row's features are looked up once per block, not once
+            # per pair.
+            features_a = [self.features_of(row) for row in rows_a]
+            features_b = (
+                features_a
+                if rows_a is rows_b
+                else [self.features_of(row) for row in rows_b]
+            )
+            return self.metric.python_block(features_a, features_b)
+        if not rows_a or not rows_b:
+            return _np.zeros((len(rows_a), len(rows_b)))
+        features_a = self.feature_matrix(rows_a)
+        features_b = features_a if rows_a is rows_b else self.feature_matrix(rows_b)
+        return self.metric.block(features_a, features_b)
 
     def distance_function(self) -> DistanceFunction:
         if self._derived_distance is None:

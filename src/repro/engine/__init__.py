@@ -30,12 +30,12 @@ plain callables), and the distance matrix is assembled from tiled
 Where the matrix *lives* is pluggable (:mod:`repro.engine.storage`):
 :class:`DenseStorage` is the historical single contiguous float64
 allocation, :class:`TiledStorage` keeps it as a lazy grid of tiles —
-built on first touch, optionally in parallel (``workers``; the
-backend picks the fan-out in :mod:`repro.engine.parallel` — threads on
-NumPy, a warm process pool on pure Python), optionally float32 at rest
-(``dtype``), optionally LRU-bounded in memory (``max_resident_tiles``
-/ ``max_resident_bytes``, with rebuild-on-touch, or with ``spill_dir``
-an append-only spill segment that row reads are served from).  One
+built on first touch, optionally over NumPy threads (``workers``; see
+:mod:`repro.engine.parallel` — pure-Python builds run serially),
+optionally float32 at rest (``dtype``), optionally LRU-bounded in
+memory (``max_resident_tiles`` / ``max_resident_bytes``, with
+rebuild-on-touch, or with ``spill_dir`` an append-only spill segment
+that row reads are served from).  One
 :class:`~repro.api.EngineConfig` selects all of it: pass it as
 ``config=`` to :class:`ScoringKernel`, :func:`kernel_for_instance` or
 :class:`DiversificationEngine`; it is validated once and held by
@@ -68,12 +68,7 @@ from .kernel import (
     kernel_for_instance,
     numpy_available,
 )
-from .parallel import (
-    WarmPoolRegistry,
-    available_cpus,
-    resolve_workers,
-    warm_pool_registry,
-)
+from .parallel import available_cpus, resolve_workers
 from .storage import (
     DEFAULT_BLOCK_SIZE,
     STORAGE_DTYPES,
@@ -104,7 +99,6 @@ __all__ = [
     "SketchedStorage",
     "StorageError",
     "TiledStorage",
-    "WarmPoolRegistry",
     "auto_algorithm",
     "compute_delta",
     "default_engine",
@@ -115,5 +109,4 @@ __all__ = [
     "reset_default_engine",
     "resolve_workers",
     "variants_grid",
-    "warm_pool_registry",
 ]

@@ -60,7 +60,6 @@ from ..relational.queries import identity_query
 from ..relational.schema import Database, Relation, Row
 from ..retrieval import DEFAULT_POOL_SIZE, CandidateRetriever, RetrievalResult
 from .kernel import ScoringKernel, kernel_for_instance
-from .parallel import warm_pool_registry
 from .storage import STORAGE_COUNTERS
 from .updates import KernelDelta, compute_delta
 
@@ -270,8 +269,9 @@ class DiversificationEngine:
     storage knobs (``storage`` / ``dtype`` / ``workers`` / tile budgets
     / ``spill_dir`` / ``block_size`` / the sketch plan,
     see :mod:`repro.engine.storage`) apply to every kernel this engine
-    builds.  ``workers`` is the only parallelism knob: the backend
-    decides how a build fans out over it (:mod:`repro.engine.parallel`).
+    builds.  ``workers`` is the only parallelism knob: NumPy builds fan
+    out over that many threads, pure-Python builds run serially
+    (:mod:`repro.engine.parallel`).
     """
 
     def __init__(
@@ -402,11 +402,7 @@ class DiversificationEngine:
         return (kernel, delta) if with_delta else kernel
 
     def clear_cache(self) -> None:
-        """Drop every cached kernel/retriever/pool — and the warm
-        process pools keyed on their snapshots, whose workers would
-        otherwise idle until TTL."""
-        for kernel in self._cache.values():
-            warm_pool_registry().invalidate(kernel.provider)
+        """Drop every cached kernel/retriever/pool."""
         self._cache.clear()
         self._retrievers.clear()
         self._pools.clear()
@@ -723,10 +719,7 @@ def default_engine() -> DiversificationEngine:
 
 def reset_default_engine() -> DiversificationEngine:
     """Replace the process-wide engine with a fresh one (test isolation,
-    or dropping every cached kernel at once) and return it.  Also clears
-    the process-wide warm pool registry: a full engine reset means no
-    cached snapshot survives, so no warm pool can ever hit again."""
+    or dropping every cached kernel at once) and return it."""
     global _default_engine
     _default_engine = DiversificationEngine()
-    warm_pool_registry().clear()
     return _default_engine

@@ -28,7 +28,7 @@ of n(n−1)/2 interpreter-bound calls.
 planned by the kernel's :class:`~repro.api.EngineConfig`:
 ``storage="dense"`` (default) keeps the historical single contiguous
 float64 allocation; ``storage="tiled"`` keeps the matrix as a lazy grid
-of tiles — built on first touch, optionally in parallel
+of tiles — built on first touch, optionally over NumPy threads
 (``workers``), optionally narrowed to float32 at rest (``dtype``) —
 which removes the O(n²)-contiguous-allocation ceiling on pool size.
 Every matrix read/write below delegates through the storage object, and
@@ -63,7 +63,6 @@ from ..core.evaluator import (
 from ..core.objectives import Objective, ObjectiveError, ObjectiveKind
 from ..core.providers import provider_for
 from ..relational.schema import Row, row_sort_key
-from .parallel import warm_pool_registry
 from .storage import (
     STORAGE_COUNTERS,
     KernelStorage,
@@ -203,21 +202,14 @@ class ScoringKernel:
             rows_a, rows_b, use_numpy=self.backend == "numpy"
         )
 
-    def _pool_snapshot(self) -> tuple:
-        """The (provider, answers) snapshot a pure-Python process build
-        ships to its workers — read at pool-creation time, so builds
-        after a delta patch score against the updated snapshot just like
-        the lazy block builder does."""
-        return self.provider, self.answers
-
     def _require_dist(self) -> KernelStorage:
         """The distance storage, allocated on the first distance read —
         the one place that decides when storage exists.
 
         Dense storage fills the whole matrix here; tiled storage
         allocates an empty grid and scores tiles on first touch —
-        :meth:`materialize_all` forces the full build (in parallel when
-        ``workers`` > 1).  Sketched kernels keep their *exact* reads on
+        :meth:`materialize_all` forces the full build (threaded on NumPy
+        when ``workers`` > 1).  Sketched kernels keep their *exact* reads on
         a lazy tiled grid: only the tiles a selector actually touches
         (typically none) are ever scored, and the landmark columns live
         in :meth:`sketch` instead.
@@ -228,7 +220,6 @@ class ScoringKernel:
                 self._build_distance_block,
                 self.backend == "numpy",
                 self.config,
-                pool_source=self._pool_snapshot,
             )
         return self._storage
 
@@ -249,9 +240,9 @@ class ScoringKernel:
 
     def materialize_all(self) -> None:
         """Force the full O(n²) distance materialization now — tiled
-        kernels build every remaining tile, fanned out over ``workers``
-        the one way the backend allows (threads on NumPy, a warm process
-        pool on pure Python; see :mod:`repro.engine.parallel`)."""
+        kernels build every remaining tile, over ``workers`` threads on
+        NumPy and serially on pure Python (see
+        :mod:`repro.engine.parallel`)."""
         self._require_dist().ensure_all()
 
     def storage_stats(self) -> dict:
@@ -337,7 +328,6 @@ class ScoringKernel:
                 use_numpy,
                 self.config,
                 strategy,
-                pool_source=self._pool_snapshot,
             )
         return self._sketch
 
@@ -601,12 +591,6 @@ class ScoringKernel:
         self._index = _first_occurrence_index(new_answers)
         self._row_sums = None
         self._item_scores_cache = {}
-        # The old answer snapshot is now stale: any warm process pool
-        # whose workers hold it must not serve future builds.  The digest
-        # key already guarantees that (new answers → new digest), but
-        # dropping the pools eagerly frees their worker processes now
-        # instead of at TTL/LRU time.
-        warm_pool_registry().invalidate(self.provider)
         return self
 
     # -- scalar access ----------------------------------------------------

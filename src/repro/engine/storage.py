@@ -15,10 +15,10 @@ that seam: a :class:`KernelStorage` contract plus two implementations.
   tiles.  Tiles are built **lazily** on first touch (a selector that
   reads only some rows never pays for the rest), only on-or-above the
   diagonal (below-diagonal tiles are transpose mirrors — views on the
-  NumPy backend, so they cost no memory), optionally **in parallel**
-  (:meth:`TiledStorage.ensure_all` fans independent tile builds out
-  through :func:`~repro.engine.parallel.build_blocks`: threads on NumPy,
-  a warm process pool on pure Python), optionally **narrowed** to
+  NumPy backend, so they cost no memory), optionally **in parallel** on
+  NumPy (:meth:`TiledStorage.ensure_all` fans independent tile builds
+  out over threads through :func:`~repro.engine.parallel.build_blocks`;
+  pure-Python builds run serially), optionally **narrowed** to
   float32 (``dtype="float32"`` halves storage; every read widens back
   to float64 so reductions and selector arithmetic stay in double
   precision), and optionally **bounded** (an LRU tile budget whose
@@ -171,7 +171,7 @@ class KernelStorage:
 
     def ensure_all(self) -> None:
         """Force every entry to be built (lazy storages pay the full
-        O(n²) scoring here; possibly in parallel)."""
+        O(n²) scoring here; threaded on NumPy when ``workers`` > 1)."""
         raise NotImplementedError
 
     # -- element / row reads ----------------------------------------------
@@ -338,17 +338,18 @@ class DenseStorage(KernelStorage):
         return vec
 
     def row_sums64(self) -> list[float]:
-        # Sequential left-to-right sums (not numpy's pairwise summation):
-        # bitwise-identical to the pure-Python ``sum(row)``, so item-score
-        # orderings never diverge between backends or storage kinds.  The
-        # numpy path accumulates column by column — the same left-to-right
-        # IEEE additions (including the 0.0 seed), vectorized across rows.
+        # Sequential left-to-right sums (neither numpy's pairwise
+        # summation nor the compensated float ``sum()`` of Python 3.12+),
+        # so item-score orderings never diverge between backends or
+        # storage kinds.  The numpy path accumulates column by column —
+        # the same IEEE additions from the same 0.0 seed, vectorized
+        # across rows.
         if self.backend == "numpy":
             acc = _np.zeros(self.n, dtype=_np.float64)
             for j in range(self.n):
                 acc = acc + self._m[:, j]
             return acc.tolist()
-        return [sum(row) for row in self._m]
+        return [_fold(0.0, row) for row in self._m]
 
     def gather64(self, rows: Sequence[int], cols: Sequence[int]):
         if self.backend == "numpy":
@@ -411,6 +412,13 @@ class DenseStorage(KernelStorage):
         return DenseStorage._from_matrix(new_dist, m, use_numpy)
 
 
+def _fold(total: float, values) -> float:
+    """``total`` plus ``values``, added one at a time, left to right."""
+    for value in values:
+        total = total + value
+    return total
+
+
 def _close_segment(fd: int, path: str) -> None:
     """The spill segment's finalizer: close its descriptor and remove
     its ``tiles-*`` directory."""
@@ -428,10 +436,8 @@ class TiledStorage(KernelStorage):
     backend float32 values are emulated by round-tripping each float
     through IEEE binary32, so both backends store the same numbers.
     ``workers`` > 1 (or ``"auto"``) parallelizes :meth:`ensure_all` over
-    independent tile builds — threads on NumPy, a warm process pool on
-    pure Python when the ``pool_source`` snapshot can ship to worker
-    processes, serial otherwise (see
-    :func:`~repro.engine.parallel.build_blocks`).
+    independent tile builds on NumPy threads; pure-Python builds run
+    serially (see :func:`~repro.engine.parallel.build_blocks`).
 
     **Tile spilling** bounds resident memory below O(n²): with
     ``max_resident_tiles`` and/or ``max_resident_bytes`` set, built upper
@@ -446,7 +452,7 @@ class TiledStorage(KernelStorage):
     kernel's row reads) is then one ``os.pread`` of at most
     ``block_size`` values, for upper and mirror tiles alike, without
     rehydrating the tile or disturbing the LRU; whole-tile consumers
-    (gathers, ``remap`` and NumPy ``row_sums64``) load the upper copy
+    (gathers, ``remap`` and ``row_sums64``) load the upper copy
     back into the LRU.  Reads round-trip IEEE-exactly.  A spill that
     fails (an unusable directory, a full disk) is logged once and
     counted in ``spill_failures``; the tile stays evicted and rebuilds
@@ -465,7 +471,6 @@ class TiledStorage(KernelStorage):
         "dtype",
         "block_size",
         "_builder",
-        "_pool_source",
         "_nb",
         "_tiles",
         "_built_upper",
@@ -485,7 +490,6 @@ class TiledStorage(KernelStorage):
         builder: BlockBuilder,
         use_numpy: bool,
         config: "EngineConfig",
-        pool_source: Callable[[], tuple] | None = None,
     ):
         self.n = n
         self.backend = "numpy" if use_numpy else "python"
@@ -493,7 +497,6 @@ class TiledStorage(KernelStorage):
         self.dtype = config.dtype or "float64"
         self.block_size = config.block_size or DEFAULT_BLOCK_SIZE
         self._builder = builder
-        self._pool_source = pool_source
         self._nb = -(-n // self.block_size) if n else 0
         self._tiles: dict[tuple[int, int], object] = {}
         self._built_upper: set[tuple[int, int]] = set()
@@ -533,10 +536,9 @@ class TiledStorage(KernelStorage):
             return [[_float32_round(v) for v in row] for row in block]
         return [[float(v) for v in row] for row in block]
 
-    def _build_upper(self, bi: int, bj: int):
-        a0, a1 = self._bounds(bi)
-        b0, b1 = self._bounds(bj)
-        return self._narrow(self._builder(a0, a1, b0, b1))
+    def _score(self, bi: int, bj: int):
+        """The raw provider block of tile ``(bi, bj)``."""
+        return self._builder(*self._bounds(bi), *self._bounds(bj))
 
     def _store_upper(self, bi: int, bj: int, tile) -> None:
         self._tiles[(bi, bj)] = tile
@@ -590,7 +592,7 @@ class TiledStorage(KernelStorage):
                     return flat.reshape(rows, cols)
                 return [list(flat[r * cols : (r + 1) * cols]) for r in range(rows)]
             self._counters["rebuilds"] += 1
-        return self._build_upper(ui, uj)
+        return self._narrow(self._score(ui, uj))
 
     # -- tile budget / spilling --------------------------------------------
 
@@ -753,24 +755,22 @@ class TiledStorage(KernelStorage):
         return len(self._built_upper) >= self.total_tiles
 
     def ensure_all(self) -> None:
-        jobs = []
-        for bi in range(self._nb):
-            a0, a1 = self._bounds(bi)
-            for bj in range(bi, self._nb):
-                if (bi, bj) not in self._built_upper:
-                    b0, b1 = self._bounds(bj)
-                    jobs.append(((bi, bj), ("tile", a0, a1, b0, b1)))
+        keys = [
+            (bi, bj)
+            for bi in range(self._nb)
+            for bj in range(bi, self._nb)
+            if (bi, bj) not in self._built_upper
+        ]
         # Diagonal tiles prime a threaded build: they touch every row
         # range once, so providers with per-row caches (feature vectors)
         # warm them without threads racing to duplicate the GIL-bound
         # cache fills.  Every block is narrowed and stored on this thread.
         build_blocks(
-            jobs,
-            lambda spec: self._builder(*spec[1:]),
+            keys,
+            lambda key: self._score(*key),
             lambda key, block: self._store_upper(*key, self._narrow(block)),
             self.config.workers,
             self.backend == "numpy",
-            pool_source=self._pool_source,
             prime=lambda key: key[0] == key[1],
         )
 
@@ -839,8 +839,9 @@ class TiledStorage(KernelStorage):
         return vec
 
     def row_sums64(self) -> list[float]:
-        # Same left-to-right column accumulation as DenseStorage,
-        # restricted to one tile-row of rows at a time — each row's
+        # Same left-to-right accumulation as DenseStorage, one tile-row
+        # of rows at a time (each tile of it touched once, so a tile
+        # budget never rebuilds a tile within a tile-row) — each row's
         # additions happen in the identical IEEE order, so float64 tiled
         # row sums are bitwise-equal to dense ones.
         self.ensure_all()
@@ -856,7 +857,14 @@ class TiledStorage(KernelStorage):
                     acc = acc + rows[:, j]
                 sums[a0:a1] = acc
             return sums.tolist()
-        return [sum(self.row64(i)) for i in range(self.n)]
+        sums: list[float] = []
+        for bi in range(self._nb):
+            a0, a1 = self._bounds(bi)
+            acc = [0.0] * (a1 - a0)
+            for b in range(self._nb):
+                acc = [_fold(t, row) for t, row in zip(acc, self._tile(bi, b))]
+            sums.extend(acc)
+        return sums
 
     def gather64(self, rows: Sequence[int], cols: Sequence[int]):
         if self.backend != "numpy":
@@ -879,13 +887,7 @@ class TiledStorage(KernelStorage):
         builder: BlockBuilder,
     ) -> "TiledStorage":
         m = len(old_of_new)
-        new = TiledStorage(
-            m,
-            builder,
-            self.backend == "numpy",
-            self.config,
-            pool_source=self._pool_source,
-        )
+        new = TiledStorage(m, builder, self.backend == "numpy", self.config)
         # One counter set across patches: the patched grid reports the
         # cumulative counts, the old grid's reads during this patch too.
         new._counters = self._counters
@@ -1049,7 +1051,6 @@ class SketchedStorage:
         use_numpy: bool,
         config: "EngineConfig",
         strategy: str,
-        pool_source: Callable[[], tuple] | None = None,
     ) -> "SketchedStorage":
         """Score the n×m landmark columns in row blocks of the config's
         ``block_size``.
@@ -1058,10 +1059,9 @@ class SketchedStorage:
         distance block of answer rows ``[a0:a1]`` against the landmark
         rows — the kernel closes it over its snapshot.  ``workers`` > 1
         fans the independent row blocks out exactly like the tiled grid's
-        build (:func:`~repro.engine.parallel.build_blocks`, leasing from
-        the same warm registry, so a sketch built right after the grid
-        reuses its initialized workers) — block values are
-        row-range-local, so assembly order cannot change a float.
+        build (:func:`~repro.engine.parallel.build_blocks`) — block
+        values are row-range-local, so assembly order cannot change a
+        float.
         """
         block_size = config.block_size or DEFAULT_BLOCK_SIZE
         landmarks = list(landmark_positions)
@@ -1083,12 +1083,11 @@ class SketchedStorage:
                 c[a0:a1] = [[float(v) for v in row] for row in block]
 
         build_blocks(
-            [(span, ("cols", *span, tuple(landmarks))) for span in spans],
-            lambda spec: columns_builder(spec[1], spec[2], landmarks),
+            spans,
+            lambda span: columns_builder(*span, landmarks),
             store,
             config.workers,
             use_numpy,
-            pool_source=pool_source,
         )
         return cls(n, landmarks, c, use_numpy, strategy)
 
@@ -1209,7 +1208,6 @@ def make_storage(
     builder: BlockBuilder,
     use_numpy: bool,
     config: "EngineConfig",
-    pool_source: Callable[[], tuple] | None = None,
 ) -> KernelStorage:
     """The storage object behind one kernel's distance matrix, as the
     validated ``config`` plans it.
@@ -1217,11 +1215,11 @@ def make_storage(
     ``dense`` (the default) is eager, contiguous and float64-only — the
     historical layout and the bit-exact reference every parity suite
     compares against; ``tiled`` is lazy, blocked, dtype-aware,
-    optionally parallel (``workers``) and optionally memory-bounded (LRU
-    tile budget + spill directory).  A ``sketched`` kernel keeps its
-    exact reads on the same lazy tiled grid.
+    optionally threaded on NumPy (``workers``) and optionally
+    memory-bounded (LRU tile budget + spill directory).  A ``sketched``
+    kernel keeps its exact reads on the same lazy tiled grid.
     """
     if (config.storage or "dense") == "dense":
         block_size = config.block_size or DEFAULT_BLOCK_SIZE
         return DenseStorage(n, builder, use_numpy, block_size)
-    return TiledStorage(n, builder, use_numpy, config, pool_source=pool_source)
+    return TiledStorage(n, builder, use_numpy, config)

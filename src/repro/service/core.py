@@ -52,7 +52,6 @@ from typing import Any
 
 from ..api import DiversifyRequest, DiversifyResponse, EngineConfig
 from ..engine.engine import DiversificationEngine
-from ..engine.parallel import warm_pool_registry
 from ..engine.storage import STORAGE_COUNTERS
 from ..retrieval import DEFAULT_POOL_SIZE
 from .cache import TTLCache
@@ -679,7 +678,6 @@ class DiversificationService:
                 "served_approx": self.served_approx,
                 "shard_rebalance": self.shard_rebalance,
             },
-            "warm_pools": warm_pool_registry().stats(),
             "result_cache": {
                 "entries": len(self.results),
                 "ttl_s": self.results.ttl,

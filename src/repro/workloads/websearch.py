@@ -94,11 +94,7 @@ def authority_relevance() -> RelevanceFunction:
 
 
 class IntentIncidenceFeatures:
-    """doc → binary intent-incidence vector over a coverage snapshot.
-
-    A module-level callable (not a closure) so websearch providers
-    pickle cleanly into process-pool workers.
-    """
+    """doc → binary intent-incidence vector over a coverage snapshot."""
 
     __slots__ = ("coverage", "position")
 

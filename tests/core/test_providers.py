@@ -8,6 +8,8 @@ backend** — including duplicate rows in a batch, across the vectorized
 and scalar block paths, and after kernels are delta-patched.
 """
 
+import copy
+
 import pytest
 
 from repro.core.instance import DiversificationInstance
@@ -74,6 +76,30 @@ def gifts_case():
     return provider, instance.answers(), instance.query
 
 
+def jaccard_empty_case():
+    """0/1 vectors from the low bits of ``id``: ids divisible by 8 are
+    all-zero rows, and empty against empty is 0.0."""
+    db = synthetic.random_database(n=20, seed=7)
+    provider = FeatureSpaceProvider(
+        lambda row: tuple(float(row["id"] >> bit & 1) for bit in range(3)),
+        metric="jaccard",
+        relevance=lambda row: row["score"],
+    )
+    rows = db.relation("items").sorted_rows()
+    assert sum(not any(provider.features_of(row)) for row in rows) >= 2
+    return provider, rows, None
+
+
+def weighted_mismatch_case():
+    db = synthetic.random_database(n=20, seed=7)
+    provider = FeatureSpaceProvider(
+        lambda row: (float(row["id"] % 2), float(row["id"] % 3), float(row["category"] == "c2")),
+        metric=MismatchMetric((0.5, 2.0, 1.25)),
+        relevance=lambda row: row["score"],
+    )
+    return provider, db.relation("items").sorted_rows(), None
+
+
 WORKLOAD_CASES = {
     "websearch": websearch_case,
     "streaming": streaming_case,
@@ -81,6 +107,8 @@ WORKLOAD_CASES = {
     "courses": courses_case,
     "teams": teams_case,
     "gifts": gifts_case,
+    "jaccard-empty": jaccard_empty_case,
+    "weighted-mismatch": weighted_mismatch_case,
 }
 
 
@@ -125,6 +153,10 @@ class TestElementwiseAgreement:
         adapted = as_matrix(adapter.distance_block(rows_a, rows_b, use_numpy=use_numpy))
         assert native == scalars
         assert native == adapted
+        if isinstance(provider, FeatureSpaceProvider):
+            loop = copy.copy(provider)
+            loop.vectorize = False  # the pair-by-pair baseline
+            assert as_matrix(loop.distance_block(rows_a, rows_b, use_numpy=use_numpy)) == native
 
     def test_symmetric_self_block(self, case, use_numpy):
         provider, rows, _ = case
@@ -250,6 +282,14 @@ class TestMetrics:
     def test_mismatch_rejects_bad_weights(self):
         with pytest.raises(ProviderError):
             MismatchMetric((-1.0,))
+
+    def test_jaccard_python_block_on_ragged_vectors(self):
+        # The scalar's zip() ignores the longer vector's tail; the
+        # bitmask block must too.
+        metric = resolve_metric("jaccard")
+        features = [(1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 1.0), ()]
+        expected = [[metric.scalar(fa, fb) for fb in features] for fa in features]
+        assert metric.python_block(features, list(features)) == expected
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
     def test_mismatch_metric_counts_differing_columns(self, use_numpy):

@@ -16,10 +16,12 @@ the contract:
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+import repro.engine.storage as storage_module
 from repro.algorithms.incremental import early_termination_top_k
 from repro.api import EngineConfig
 from repro.core.objectives import ObjectiveKind
@@ -55,6 +57,28 @@ def tiled_kernel(instance, use_numpy, block_size=5, dtype=None, workers=None):
         storage="tiled", block_size=block_size, dtype=dtype, workers=workers
     )
     return ScoringKernel(instance, use_numpy=use_numpy, config=config)
+
+
+def left_fold(values):
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
+
+
+def neumaier_sum(values, start=0):
+    """The compensated float ``sum()`` of Python 3.12+."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 def assert_matrices_equal(dense, tiled):
@@ -100,6 +124,24 @@ class TestElementWiseParity:
         assert py.distance_rows() == np_.distance_rows()
         assert py.row_distance_sums() == np_.row_distance_sums()
 
+    def test_row_sums_fold_left_to_right(self, monkeypatch):
+        """Pure-Python row sums are an explicit left fold, so a float
+        ``sum()`` that compensates (Python 3.12+) cannot move them off
+        the NumPy backend's."""
+        monkeypatch.setattr(storage_module, "sum", neumaier_sum, raising=False)
+        instance = random_instance(
+            n=13, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=7
+        )
+        dense = ScoringKernel(instance, use_numpy=False)
+        rows = dense.distance_rows()
+        folds = [left_fold(row) for row in rows]
+        assert [neumaier_sum(row) for row in rows] != folds  # the patch bites
+        assert dense.row_distance_sums() == folds
+        tiled = tiled_kernel(instance, use_numpy=False, block_size=4)
+        assert tiled.row_distance_sums() == folds
+        if numpy_available():
+            assert ScoringKernel(instance, use_numpy=True).row_distance_sums() == folds
+
 
 class TestLaziness:
     @pytest.mark.parametrize("use_numpy", BACKENDS)
@@ -134,6 +176,30 @@ class TestLaziness:
         b = kernel.distance_between(10, 1)
         assert a == b
         assert kernel._storage.tiles_built == 1
+
+    def test_budgeted_row_sums_touch_each_tile_once_per_tile_row(self):
+        """Row sums under a tile budget smaller than a tile-row sum one
+        tile-row at a time: pure Python rebuilds no more evicted tiles
+        than NumPy, at most one per tile of each tile-row."""
+        instance = random_instance(
+            n=300, k=5, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=11
+        )
+        config = EngineConfig(storage="tiled", block_size=64, max_resident_tiles=4)
+
+        def rebuilds_and_sums(use_numpy):
+            kernel = ScoringKernel(instance, use_numpy=use_numpy, config=config)
+            kernel.materialize_all()
+            before = kernel.storage_stats()["rebuilds"]
+            sums = kernel.row_distance_sums()
+            return kernel.storage_stats()["rebuilds"] - before, sums
+
+        rebuilds, sums = rebuilds_and_sums(False)
+        blocks = -(-300 // 64)
+        assert rebuilds <= blocks * blocks
+        if numpy_available():
+            numpy_rebuilds, numpy_sums = rebuilds_and_sums(True)
+            assert rebuilds <= numpy_rebuilds
+            assert sums == numpy_sums
 
     @pytest.mark.parametrize("use_numpy", BACKENDS)
     def test_parallel_build_identical(self, use_numpy):

@@ -22,7 +22,6 @@ from repro.engine import (
     DiversificationEngine,
     ScoringKernel,
     numpy_available,
-    warm_pool_registry,
 )
 from repro.algorithms.incremental import early_termination_top_k
 from repro.workloads.synthetic import random_instance
@@ -109,25 +108,12 @@ def test_spilling_kernel_matches_pins(pin, tmp_path):
         check(pin, ALGORITHMS[pin["algorithm"]](instance, kernel))
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _drain_warm_pools():
-    """Release the worker processes the warm-path pin tests park in the
-    process-wide registry once this module is done with them."""
-    yield
-    warm_pool_registry().clear()
-
-
 @pytest.mark.parametrize("pin", PINS, ids=pin_id)
-def test_warm_mmap_kernel_matches_pins(pin, tmp_path):
-    """The full warm path — pure-Python tiles built through a process
-    pool leased from the warm registry, then spilled to the segment
-    under a tight resident budget and read back row by row — is still
-    the same substrate.
-    ``use_numpy=False`` because only the pure-Python backend fans out
-    over processes.  Pins are grouped by instance, so consecutive pins
-    lease the pool the previous build left behind (one spawn per
-    distinct snapshot)."""
-    instance = pin_instance(pin)
+def test_workers_spilling_kernel_matches_pins(pin, tmp_path):
+    """A ``workers=2`` full build (threaded on NumPy, serial on pure
+    Python) into a grid of which two tiles stay resident, spilled to the
+    segment and read back row by row, is still the same substrate on
+    both backends."""
     config = EngineConfig(
         storage="tiled",
         block_size=4,
@@ -135,14 +121,16 @@ def test_warm_mmap_kernel_matches_pins(pin, tmp_path):
         spill_dir=str(tmp_path),
         workers=2,
     )
-    kernel = ScoringKernel(instance, use_numpy=False, config=config)
-    kernel.materialize_all()
-    if pin["algorithm"] == "early_termination_top_k":
-        result = early_termination_top_k(instance, kernel=kernel)
-        assert result.consumed == pin["consumed"]
-        check(pin, (result.value, result.selected))
-        return
-    check(pin, ALGORITHMS[pin["algorithm"]](instance, kernel))
+    for use_numpy in BACKENDS:
+        instance = pin_instance(pin)
+        kernel = ScoringKernel(instance, use_numpy=use_numpy, config=config)
+        kernel.materialize_all()
+        if pin["algorithm"] == "early_termination_top_k":
+            result = early_termination_top_k(instance, kernel=kernel)
+            assert result.consumed == pin["consumed"]
+            check(pin, (result.value, result.selected))
+            continue
+        check(pin, ALGORITHMS[pin["algorithm"]](instance, kernel))
 
 
 @pytest.mark.parametrize(

@@ -571,7 +571,7 @@ class TestErrorsAndStats:
         assert tenant["kernel_cache"]["misses"] == 1
         assert tenant["cached_kernels"] == 1
         assert stats["config"]["coalesce"] is True
-        assert "pool_failures" in stats["warm_pools"]
+        assert "warm_pools" not in stats  # no build starts a process pool
 
     def test_healthz(self):
         service = make_service()
