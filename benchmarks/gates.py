@@ -596,9 +596,10 @@ def case_bounded_memory(full):
 
 def sketch_and_select(config, instance):
     """A cold kernel build plus greedy F_MS selection; the pick's exact value."""
-    storage = {"dense-f64": "dense", "tiled-f64": "tiled"}.get(config, "sketched")
-    kernel = ScoringKernel(instance, use_numpy=NUMPY, config=EngineConfig(storage=storage))
-    if storage == "sketched":
+    storage = {"dense-f64": "dense", "tiled-f64": "tiled"}.get(config)
+    engine_config = EngineConfig(storage=storage, approx=storage is None)
+    kernel = ScoringKernel(instance, use_numpy=NUMPY, config=engine_config)
+    if storage is None:
         return select_sketched_marginal_max_sum(kernel, instance.objective, instance.k).value
     indices = select_greedy_marginal_max_sum(kernel, instance.objective, instance.k)
     return kernel.value(indices, instance.objective)

@@ -54,7 +54,7 @@ from . import (
     workloads,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "algorithms",

@@ -20,7 +20,10 @@ carry approximation guarantees:
 Each heuristic is an index-based selector over a
 :class:`~repro.engine.kernel.ScoringKernel` (``select_*``); the
 row-returning signatures are adapters that build — or accept — a kernel
-and delegate, so there is exactly one scoring loop per rule.
+and delegate, so there is exactly one scoring loop per rule.  The
+one-at-a-time loops read distance rows from ``rows``, the kernel by
+default; the approximate selectors of :mod:`repro.algorithms.sketched`
+are these loops over the kernel's landmark sketch.
 """
 
 from __future__ import annotations
@@ -87,31 +90,33 @@ def greedy_max_sum(
 
 
 def select_greedy_max_min(
-    kernel: "ScoringKernel", objective: Objective, k: int
+    kernel: "ScoringKernel", objective: Objective, k: int, *, rows=None
 ) -> list[int] | None:
     """Greedy 2-approximation for max-min dispersion, adapted to F_MM.
 
     Seeds with the most relevant row, then repeatedly adds the row ``i``
     maximizing ``(1−λ)·rel_i + λ·min_{s∈chosen} dist[i][s]``.  At λ = 1
     relevance is treated as 0.0 everywhere, so the seed degenerates to
-    the first snapshot row.
+    the first snapshot row.  ``rows`` answers the distance-row reads
+    (``copy_distance_row`` / ``minimum_inplace``); the kernel by default.
     """
     if objective.kind is not ObjectiveKind.MAX_MIN:
         raise ValueError("greedy_max_min requires F_MM")
     if kernel.n < k:
         return None
+    rows = kernel if rows is None else rows
     lam = objective.lam
     seed = kernel.argmax(kernel.relevance_scores()) if lam < 1.0 else 0
     chosen = [seed]
     excluded = {seed}
-    min_dist = kernel.copy_distance_row(seed)
+    min_dist = rows.copy_distance_row(seed)
     scratch = kernel.zeros_vector()  # reused per round; scored in place
     while len(chosen) < k:
         scores = kernel.affine_scores(1.0 - lam, lam, min_dist, out=scratch)
         nxt = kernel.argmax(scores, excluded=excluded)
         chosen.append(nxt)
         excluded.add(nxt)
-        kernel.minimum_inplace(min_dist, nxt)
+        rows.minimum_inplace(min_dist, nxt)
     return chosen
 
 
@@ -128,18 +133,22 @@ def greedy_max_min(
 
 
 def select_greedy_marginal_max_sum(
-    kernel: "ScoringKernel", objective: Objective, k: int
+    kernel: "ScoringKernel", objective: Objective, k: int, *, rows=None
 ) -> list[int] | None:
     """One-at-a-time marginal-gain greedy for F_MS (baseline heuristic).
 
     Each round adds the row maximizing the marginal F_MS gain
 
         (k−1)(1−λ)·rel_i + 2λ·Σ_{s∈chosen} dist[i][s]
+
+    ``rows`` answers the distance-row reads (``add_row_inplace``); the
+    kernel by default.
     """
     if objective.kind is not ObjectiveKind.MAX_SUM:
         raise ValueError("greedy_marginal_max_sum requires F_MS")
     if kernel.n < k:
         return None
+    rows = kernel if rows is None else rows
     lam = objective.lam
     rel_coef = (k - 1) * (1.0 - lam)
     dist_coef = 2.0 * lam
@@ -153,7 +162,7 @@ def select_greedy_marginal_max_sum(
         chosen.append(nxt)
         excluded.add(nxt)
         if lam > 0.0:  # λ = 0 gains never read the distance matrix
-            kernel.add_row_inplace(sum_dist, nxt)
+            rows.add_row_inplace(sum_dist, nxt)
     return chosen
 
 

@@ -13,7 +13,8 @@ gap against the exact optimizers.
 :func:`select_mmr` is the index-based selector over a
 :class:`~repro.engine.kernel.ScoringKernel` (the per-candidate novelty
 minimum is one vector update per selection); :func:`mmr_select` is the
-row-based adapter.
+row-based adapter.  :func:`~repro.algorithms.sketched.select_sketched_mmr`
+runs the same loop over the kernel's landmark sketch.
 """
 
 from __future__ import annotations
@@ -35,24 +36,29 @@ def select_mmr(
     objective: Objective,
     k: int,
     lam: float | None = None,
+    *,
+    rows=None,
 ) -> list[int] | None:
-    """MMR as an index selector; ``lam`` defaults to the objective's λ."""
+    """MMR as an index selector; ``lam`` defaults to the objective's λ.
+    ``rows`` answers the distance-row reads (``copy_distance_row`` /
+    ``minimum_inplace``); the kernel by default."""
     if kernel.n < k:
         return None
     trade_off = objective.lam if lam is None else lam
     if not 0.0 <= trade_off <= 1.0:
         raise ValueError(f"λ must be in [0,1], got {trade_off}")
+    rows = kernel if rows is None else rows
     first = kernel.argmax(kernel.relevance_scores())
     chosen = [first]
     excluded = {first}
-    novelty = kernel.copy_distance_row(first)
+    novelty = rows.copy_distance_row(first)
     scratch = kernel.zeros_vector()  # reused per round; scored in place
     while len(chosen) < k:
         scores = kernel.affine_scores(1.0 - trade_off, trade_off, novelty, out=scratch)
         nxt = kernel.argmax(scores, excluded=excluded)
         chosen.append(nxt)
         excluded.add(nxt)
-        kernel.minimum_inplace(novelty, nxt)
+        rows.minimum_inplace(novelty, nxt)
     return chosen
 
 

@@ -130,7 +130,7 @@ class EngineConfig:
     """The engine's policy knobs as one frozen, hashable value.
 
     * ``storage`` — kernel distance-matrix layout (``"dense"`` default /
-      ``"tiled"`` / ``"sketched"``); ``dtype`` — at-rest tile dtype
+      ``"tiled"``); ``dtype`` — at-rest tile dtype
       (tiled only); ``workers`` — the one parallelism knob: thread pool
       width for NumPy tile builds (an int, or ``"auto"`` for the host
       CPU count resolved at build time).  Builds run serially when
@@ -145,10 +145,12 @@ class EngineConfig:
     * ``patch_threshold`` — largest stale-kernel delta (fraction of n)
       that is patched in place rather than rebuilt;
     * ``cache_size`` — LRU bound on live kernels per engine;
-    * ``sketch_columns`` / ``landmarks`` — the sketched-storage plan
-      (landmark column count and placement strategy; sketched-only);
-    * ``approx`` — opt into the sketched approximate selectors.  Exact
-      paths never route through approximation without this flag.
+    * ``approx`` — the one switch into the sketched approximate
+      selectors, over either storage kind: they read landmark-column
+      lower bounds and never allocate the exact distance storage.  Exact
+      paths never route through approximation without this flag;
+    * ``sketch_columns`` / ``landmarks`` — the landmark sketch's column
+      count and placement strategy.
 
     ``None`` means "engine default" for the storage-policy knobs, so
     ``EngineConfig()`` is the historical default engine.
@@ -220,46 +222,24 @@ class EngineConfig:
             or self.max_resident_bytes is not None
             or self.spill_dir is not None
         ):
-            # Sketched kernels keep their exact-read fallback on a tiled
-            # grid, so budgets apply there too; only the eager dense
-            # layout has nothing to bound.
             raise ApiError(
                 "dense storage is one eager allocation and cannot spill; "
                 "pass storage='tiled' for tile budgets / spill_dir"
             )
-        if (self.dtype or "float64") != "float64" and self.storage == "sketched":
+        # Checked whatever ``approx`` says: a service's non-approx config
+        # also shapes the sketch of its ``approx_over`` engine.
+        if self.sketch_columns is not None and self.sketch_columns < 2:
             raise ApiError(
-                "sketched storage keeps exact float64 landmark columns; "
-                f"dtype={self.dtype!r} is tiled-only"
+                f"sketch_columns must be >= 2, got {self.sketch_columns}"
             )
-        if self.sketch_columns is not None:
-            if self.storage != "sketched":
-                raise ApiError(
-                    "sketch_columns only applies to storage='sketched', "
-                    f"got storage={self.storage!r}"
-                )
-            if self.sketch_columns < 2:
-                raise ApiError(
-                    f"sketch_columns must be >= 2, got {self.sketch_columns}"
-                )
         if self.landmarks is not None:
             from .core.providers import LANDMARK_STRATEGIES
 
-            if self.storage != "sketched":
-                raise ApiError(
-                    "landmarks only applies to storage='sketched', "
-                    f"got storage={self.storage!r}"
-                )
             if self.landmarks not in LANDMARK_STRATEGIES:
                 raise ApiError(
                     f"unknown landmark strategy {self.landmarks!r}; "
                     f"choose one of {LANDMARK_STRATEGIES}"
                 )
-        if self.approx and self.storage != "sketched":
-            raise ApiError(
-                "approx selection runs over a sketch plan; pass "
-                "storage='sketched' (optionally with sketch_columns/landmarks)"
-            )
         return self
 
     def canonical(self) -> "EngineConfig":
@@ -381,13 +361,11 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
     """
     parser.add_argument(
         "--storage",
-        choices=["dense", "tiled", "sketched"],
+        choices=["dense", "tiled"],
         default=None,
         help="kernel distance-matrix layout: dense (one contiguous "
-        "float64 matrix, default), tiled (lazy block grid; removes "
-        "the O(n^2) contiguous-allocation ceiling), or sketched "
-        "(m landmark distance columns, m << n; sub-quadratic plan "
-        "for the --approx selectors)",
+        "float64 matrix, default) or tiled (lazy block grid; removes "
+        "the O(n^2) contiguous-allocation ceiling)",
     )
     parser.add_argument(
         "--dtype",
@@ -401,10 +379,10 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         type=_workers_value,
         default=None,
         metavar="N|auto",
-        help="thread pool width for tiled/sketched matrix builds with "
-        "NumPy: an int, or 'auto' for the host CPU count (resolved at "
-        "build time).  Builds run serially at 1 worker, and pure-Python "
-        "builds always do",
+        help="thread pool width for tiled matrix builds (and their "
+        "--approx landmark sketch) with NumPy: an int, or 'auto' for the "
+        "host CPU count (resolved at build time).  Builds run serially at "
+        "1 worker, and pure-Python builds always do",
     )
     parser.add_argument(
         "--max-resident-tiles",
@@ -457,23 +435,24 @@ def add_engine_config_args(parser: "argparse.ArgumentParser") -> None:
         type=int,
         default=None,
         metavar="M",
-        help="landmark distance columns of the sketched plan "
-        "(>= 2; default max(16, sqrt(n)); --storage sketched only)",
+        help="landmark distance columns of the --approx sketch "
+        "(>= 2; default max(16, sqrt(n)))",
     )
     parser.add_argument(
         "--landmarks",
         choices=["uniform", "relevance", "farthest"],
         default=None,
-        help="landmark placement strategy of the sketched plan "
-        "(default uniform; --storage sketched only)",
+        help="landmark placement strategy of the --approx sketch "
+        "(default uniform)",
     )
     parser.add_argument(
         "--approx",
         action="store_const",
         const=True,
         default=None,
-        help="opt into the sketched approximate selectors (requires "
-        "--storage sketched); results carry a lower/upper certificate",
+        help="opt into the sketched approximate selectors on either "
+        "--storage: m landmark distance columns (m << n) instead of the "
+        "O(n^2) matrix; results carry a lower/upper certificate",
     )
 
 

@@ -44,10 +44,11 @@ reference.
 Whether a matrix is needed *at all* is observed, not declared: a
 kernel allocates its distance storage on the first distance read, so a
 selection that reads none (modular top-k, any F_MS at λ = 0) never
-allocates it.  ``storage="sketched"`` (:class:`SketchedStorage`) keeps
-only m landmark distance columns for the ``--approx`` selectors — the
-sub-quadratic plan; exact reads against a sketched kernel fall back to
-a lazy tiled grid, so nothing is ever approximated without opting in.
+allocates it.  ``approx=True`` is the one switch into the approximate
+selectors, over either storage kind: they run the exact selection loops
+over a :class:`SketchedStorage` of m landmark distance columns, the
+sub-quadratic plan, and never allocate the exact storage.  Nothing is
+ever approximated without opting in.
 """
 
 from .engine import (

@@ -108,13 +108,13 @@ ALGORITHMS: dict[
 }
 
 #: The sketched (landmark-column) counterpart of each approximable
-#: exact selector.  ``run()`` dispatches here only when the engine
-#: config opted in (``approx=True``), the objective actually reads
-#: distances (λ > 0 — at λ = 0 the exact path is already sub-quadratic)
-#: and the instance carries no constraints (the sketched loops are
-#: unconstrained).  Both greedy F_MS spellings map to the marginal
-#: sketched loop: pair-greedy's per-pick pair scan is exactly what the
-#: sketch removes.
+#: exact selector: the same loop, reading its rows from the kernel's
+#: sketch.  ``run()`` dispatches here only when the engine config opted
+#: in (``approx=True``), the objective actually reads distances (λ > 0 —
+#: at λ = 0 the exact path is already sub-quadratic) and the instance
+#: carries no constraints (the loops are unconstrained).  Both greedy
+#: F_MS spellings map to the marginal loop: pair-greedy's per-pick pair
+#: scan is exactly what the sketch removes.
 _SKETCHED_SELECTORS: dict[str, Callable] = {
     "greedy_max_sum": select_sketched_marginal_max_sum,
     "greedy_marginal_max_sum": select_sketched_marginal_max_sum,
@@ -267,11 +267,12 @@ class DiversificationEngine:
     answer-set size, that a stale cached kernel is delta-patched for
     (larger deltas rebuild from scratch — 0 disables patching), and the
     storage knobs (``storage`` / ``dtype`` / ``workers`` / tile budgets
-    / ``spill_dir`` / ``block_size`` / the sketch plan,
-    see :mod:`repro.engine.storage`) apply to every kernel this engine
-    builds.  ``workers`` is the only parallelism knob: NumPy builds fan
-    out over that many threads, pure-Python builds run serially
-    (:mod:`repro.engine.parallel`).
+    / ``spill_dir`` / ``block_size`` / ``sketch_columns`` /
+    ``landmarks``, see :mod:`repro.engine.storage`) apply to every
+    kernel this engine builds.  ``workers`` is the only parallelism
+    knob: NumPy builds fan out over that many threads, pure-Python
+    builds run serially (:mod:`repro.engine.parallel`).  ``approx=True``
+    runs approximable solves over the kernel's landmark sketch.
     """
 
     def __init__(

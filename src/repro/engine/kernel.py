@@ -209,10 +209,8 @@ class ScoringKernel:
         Dense storage fills the whole matrix here; tiled storage
         allocates an empty grid and scores tiles on first touch —
         :meth:`materialize_all` forces the full build (threaded on NumPy
-        when ``workers`` > 1).  Sketched kernels keep their *exact* reads on
-        a lazy tiled grid: only the tiles a selector actually touches
-        (typically none) are ever scored, and the landmark columns live
-        in :meth:`sketch` instead.
+        when ``workers`` > 1).  The landmark columns of the approximate
+        selectors live apart, in :meth:`sketch`, and never allocate it.
         """
         if self._storage is None:
             self._storage = make_storage(
@@ -253,9 +251,9 @@ class ScoringKernel:
         aggregators (`/stats`, benches) never special-case.  Dense
         storage is one resident "tile" of n² float64s.  A built landmark
         sketch adds its n × m float64 columns to ``resident_bytes``; a
-        kernel whose only distance data is the sketch reports
-        ``kind='sketched'``, and one that holds neither reports
-        ``kind='deferred'`` with zero counters.
+        kernel whose only distance data is the sketch (after approximate
+        solves) reports ``kind='sketched'``, and one that holds neither
+        reports ``kind='deferred'`` with zero counters.
         """
         stats = {"kind": "deferred", **dict.fromkeys(STORAGE_COUNTERS, 0)}
         storage = self._storage
@@ -286,10 +284,6 @@ class ScoringKernel:
             m = max(16, math.isqrt(max(self.n, 1)))
         return min(self.n, max(2, m))
 
-    @property
-    def sketch_built(self) -> bool:
-        return self._sketch is not None
-
     def sketch(self) -> SketchedStorage:
         """The landmark-column distance sketch, built on first use.
 
@@ -298,8 +292,9 @@ class ScoringKernel:
         hook (strategy = the config's ``landmarks`` knob, default
         ``uniform``), and the n×m columns are scored exactly through the
         same ``distance_block`` calls a full build would make — just m
-        columns of them.  Any ``storage`` kind may ask for a sketch, but
-        only ``storage='sketched'`` kernels are *planned* around one.
+        columns of them.  With ``approx=True`` the approximate selectors
+        read their rows from it, over either ``storage`` kind, and never
+        allocate the exact distance storage.
         """
         if self._sketch is None:
             use_numpy = self.backend == "numpy"

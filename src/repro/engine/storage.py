@@ -92,11 +92,10 @@ _LOG = logging.getLogger(__name__)
 #: tile's feature matrices stay cache-friendly.
 DEFAULT_BLOCK_SIZE = 256
 
-#: Recognized ``storage=`` spellings.  ``sketched`` is not a
-#: full-matrix :class:`KernelStorage` — it selects the landmark-column
-#: :class:`SketchedStorage` plan inside the kernel, whose exact reads
-#: fall back to a lazy tiled grid.
-STORAGE_KINDS = ("dense", "tiled", "sketched")
+#: Recognized ``storage=`` spellings.  The landmark-column
+#: :class:`SketchedStorage` is not one of them: ``approx=True`` decides
+#: when selection reads it, whatever the exact storage kind.
+STORAGE_KINDS = ("dense", "tiled")
 
 #: Recognized ``dtype=`` spellings (float32 is tiled-only).
 STORAGE_DTYPES = ("float64", "float32")
@@ -319,23 +318,10 @@ class DenseStorage(KernelStorage):
         return list(self._m[i])
 
     def minimum_into(self, vec, i: int):
-        if self.backend == "numpy":
-            _np.minimum(vec, self._m[i], out=vec)
-            return vec
-        row = self._m[i]
-        for j in range(self.n):
-            if row[j] < vec[j]:
-                vec[j] = row[j]
-        return vec
+        return _minimum_into(vec, self._m[i], self.backend == "numpy")
 
     def add_into(self, vec, i: int):
-        if self.backend == "numpy":
-            vec += self._m[i]
-            return vec
-        row = self._m[i]
-        for j in range(self.n):
-            vec[j] = vec[j] + row[j]
-        return vec
+        return _add_into(vec, self._m[i], self.backend == "numpy")
 
     def row_sums64(self) -> list[float]:
         # Sequential left-to-right sums (neither numpy's pairwise
@@ -419,6 +405,27 @@ def _fold(total: float, values) -> float:
     return total
 
 
+def _minimum_into(vec, row, use_numpy: bool):
+    """Elementwise ``vec = min(vec, row)`` in place; returns ``vec``."""
+    if use_numpy:
+        _np.minimum(vec, row, out=vec)
+        return vec
+    for j, value in enumerate(row):
+        if value < vec[j]:
+            vec[j] = value
+    return vec
+
+
+def _add_into(vec, row, use_numpy: bool):
+    """Elementwise ``vec += row`` in place; returns ``vec``."""
+    if use_numpy:
+        vec += row
+        return vec
+    for j, value in enumerate(row):
+        vec[j] = vec[j] + value
+    return vec
+
+
 def _close_segment(fd: int, path: str) -> None:
     """The spill segment's finalizer: close its descriptor and remove
     its ``tiles-*`` directory."""
@@ -452,11 +459,11 @@ class TiledStorage(KernelStorage):
     kernel's row reads) is then one ``os.pread`` of at most
     ``block_size`` values, for upper and mirror tiles alike, without
     rehydrating the tile or disturbing the LRU; whole-tile consumers
-    (gathers, ``remap`` and ``row_sums64``) load the upper copy
-    back into the LRU.  Reads round-trip IEEE-exactly.  A spill that
-    fails (an unusable directory, a full disk) is logged once and
-    counted in ``spill_failures``; the tile stays evicted and rebuilds
-    on touch.
+    (gathers, ``remap``, ``row_sums64`` and ``to_lists``) load the
+    upper copy back into the LRU.  Reads round-trip IEEE-exactly.  A
+    spill that fails (an unusable directory, a full disk) is logged once
+    and counted in ``spill_failures``; the tile stays evicted and
+    rebuilds on touch.
     ``tiles_built`` / ``is_fully_built`` track *ever-built* tiles, so
     laziness observability and remap semantics are unchanged by
     eviction.
@@ -820,50 +827,43 @@ class TiledStorage(KernelStorage):
         return self.row64(i)  # assembly always yields a fresh vector
 
     def minimum_into(self, vec, i: int):
-        if self.backend == "numpy":
-            _np.minimum(vec, self.row64(i), out=vec)
-            return vec
-        row = self.row64(i)
-        for j in range(self.n):
-            if row[j] < vec[j]:
-                vec[j] = row[j]
-        return vec
+        return _minimum_into(vec, self.row64(i), self.backend == "numpy")
 
     def add_into(self, vec, i: int):
-        if self.backend == "numpy":
-            vec += self.row64(i)
-            return vec
-        row = self.row64(i)
-        for j in range(self.n):
-            vec[j] = vec[j] + row[j]
-        return vec
+        return _add_into(vec, self.row64(i), self.backend == "numpy")
 
-    def row_sums64(self) -> list[float]:
-        # Same left-to-right accumulation as DenseStorage, one tile-row
-        # of rows at a time (each tile of it touched once, so a tile
-        # budget never rebuilds a tile within a tile-row) — each row's
-        # additions happen in the identical IEEE order, so float64 tiled
-        # row sums are bitwise-equal to dense ones.
+    def _tile_rows64(self):
+        """Every row of the matrix, one tile-row at a time: a float64
+        2-D array per tile-row on NumPy, a list of row lists on pure
+        Python.  Each tile of a tile-row is touched once — read row by
+        row, a tile budget smaller than a tile-row would rebuild every
+        tile the previous row evicted."""
         self.ensure_all()
-        if self.backend == "numpy":
-            sums = _np.zeros(self.n, dtype=_np.float64)
-            for bi in range(self._nb):
-                a0, a1 = self._bounds(bi)
-                rows = _np.concatenate(
+        for bi in range(self._nb):
+            if self.backend == "numpy":
+                yield _np.concatenate(
                     [self._tile64(bi, b) for b in range(self._nb)], axis=1
                 )
-                acc = _np.zeros(a1 - a0, dtype=_np.float64)
-                for j in range(self.n):
-                    acc = acc + rows[:, j]
-                sums[a0:a1] = acc
-            return sums.tolist()
-        sums: list[float] = []
-        for bi in range(self._nb):
+                continue
             a0, a1 = self._bounds(bi)
-            acc = [0.0] * (a1 - a0)
+            rows = [[] for _ in range(a1 - a0)]
             for b in range(self._nb):
-                acc = [_fold(t, row) for t, row in zip(acc, self._tile(bi, b))]
-            sums.extend(acc)
+                for row, part in zip(rows, self._tile(bi, b)):
+                    row.extend(part)
+            yield rows
+
+    def row_sums64(self) -> list[float]:
+        # Same left-to-right accumulation as DenseStorage, so each row's
+        # additions happen in the identical IEEE order and float64 tiled
+        # row sums are bitwise-equal to dense ones.
+        if self.backend != "numpy":
+            return [_fold(0.0, row) for rows in self._tile_rows64() for row in rows]
+        sums: list[float] = []
+        for rows in self._tile_rows64():
+            acc = _np.zeros(len(rows), dtype=_np.float64)
+            for j in range(self.n):
+                acc = acc + rows[:, j]
+            sums.extend(acc.tolist())
         return sums
 
     def gather64(self, rows: Sequence[int], cols: Sequence[int]):
@@ -874,8 +874,9 @@ class TiledStorage(KernelStorage):
         return self._gather_raw(rows, cols).astype(_np.float64, copy=False)
 
     def to_lists(self) -> list[list[float]]:
-        self.ensure_all()
-        return [list(self.row64(i)) for i in range(self.n)]
+        if self.backend != "numpy":
+            return [row for rows in self._tile_rows64() for row in rows]
+        return [row for rows in self._tile_rows64() for row in rows.tolist()]
 
     # -- delta maintenance ------------------------------------------------
 
@@ -1000,12 +1001,14 @@ class SketchedStorage:
 
         max_l |C[i][l] − C[j][l]|  ≤  d(i, j)  ≤  min_l (C[i][l] + C[j][l])
 
-    The approximate selectors greedily maximize the objective under the
-    *lower* bounds (an admissible surrogate for max-sum/max-min style
-    objectives, which are monotone in distances) and then score the
-    chosen ≤ k rows exactly, so the reported value is never an estimate
-    and the bound evaluations become the recorded
-    :class:`~repro.algorithms.substrate.ApproxCertificate`.
+    The approximate selectors are the exact selection loops reading
+    their rows from here: :meth:`copy_distance_row`,
+    :meth:`minimum_inplace` and :meth:`add_row_inplace` answer the
+    kernel's three row calls with *lower*-bound rows (an admissible
+    surrogate for max-sum/max-min style objectives, which are monotone
+    in distances).  The chosen ≤ k rows are then scored exactly, so the
+    reported value is never an estimate and the bound evaluations become
+    the recorded :class:`~repro.algorithms.substrate.ApproxCertificate`.
 
     A landmark column is exact by construction: if ``j`` is landmark
     ``l`` then the lower and upper bounds at column ``l`` both collapse
@@ -1116,10 +1119,11 @@ class SketchedStorage:
         ci, cj = self._c[i], self._c[j]
         return min(a + b for a, b in zip(ci, cj))
 
-    def lower_bound_row(self, j: int):
+    # -- the kernel's row calls, over lower bounds ------------------------
+
+    def copy_distance_row(self, j: int):
         """``lb[i] = max_l |C[i][l] − C[j][l]|`` for every i, as a fresh
-        float64 backend vector (the sketched analogue of
-        ``copy_row64``)."""
+        float64 backend vector."""
         if self.backend == "numpy":
             return _np.max(_np.abs(self._c - self._c[j]), axis=1)
         cj = self._c[j]
@@ -1127,14 +1131,13 @@ class SketchedStorage:
             max(abs(a - b) for a, b in zip(ci, cj)) for ci in self._c
         ]
 
-    def upper_bound_row(self, j: int):
-        """``ub[i] = min_l (C[i][l] + C[j][l])`` for every i."""
-        if self.backend == "numpy":
-            return _np.min(self._c + self._c[j], axis=1)
-        cj = self._c[j]
-        return [
-            min(a + b for a, b in zip(ci, cj)) for ci in self._c
-        ]
+    def minimum_inplace(self, vec, j: int):
+        """Elementwise ``vec = min(vec, lb_j)``."""
+        return _minimum_into(vec, self.copy_distance_row(j), self.backend == "numpy")
+
+    def add_row_inplace(self, vec, j: int):
+        """Elementwise ``vec += lb_j``."""
+        return _add_into(vec, self.copy_distance_row(j), self.backend == "numpy")
 
     # -- delta maintenance ------------------------------------------------
 
@@ -1216,8 +1219,7 @@ def make_storage(
     historical layout and the bit-exact reference every parity suite
     compares against; ``tiled`` is lazy, blocked, dtype-aware,
     optionally threaded on NumPy (``workers``) and optionally
-    memory-bounded (LRU tile budget + spill directory).  A ``sketched``
-    kernel keeps its exact reads on the same lazy tiled grid.
+    memory-bounded (LRU tile budget + spill directory).
     """
     if (config.storage or "dense") == "dense":
         block_size = config.block_size or DEFAULT_BLOCK_SIZE

@@ -133,13 +133,3 @@ class TTLCache:
             dropped = len(doomed)
         self.stats.invalidations += dropped
         return dropped
-
-    def purge_expired(self) -> int:
-        """Drop every entry past its deadline (housekeeping; lookups
-        already treat expired entries as misses)."""
-        now = self._clock()
-        doomed = [k for k, (deadline, _) in self._entries.items() if now >= deadline]
-        for key in doomed:
-            del self._entries[key]
-        self.stats.expired += len(doomed)
-        return len(doomed)

@@ -90,9 +90,9 @@ class ServiceConfig:
 
     ``approx_over`` admits large answer sets to the **sketched** path
     instead of rejecting them: a request whose materialized answer set
-    exceeds it runs on a per-tenant approximate engine (``storage=
-    "sketched"``, ``approx=True`` layered over ``engine``) and its
-    response carries the approximation certificate.  Requests routed
+    exceeds it runs on a per-tenant approximate engine (``approx=True``
+    layered over ``engine``) and its response carries the approximation
+    certificate.  Requests routed
     this way are exempt from ``max_answer_set`` — the quota exists to
     keep O(n²) kernels out of the serving path, and the sketched plan
     is O(n·m).  ``None`` (default) disables approximate admission;
@@ -207,10 +207,11 @@ class DiversificationService:
 
     def approx_engine_for(self, tenant: str) -> DiversificationEngine:
         """The tenant's sketched-path engine for ``approx_over``
-        admissions: the shared engine config with ``storage="sketched"``
-        and ``approx=True`` layered on (dtype dropped — the sketch keeps
-        exact float64 columns).  A configured already-approximate engine
-        is reused as-is."""
+        admissions: the shared engine config with ``approx=True`` layered
+        on, over lazy float64 tiles (``storage="tiled"``, dtype dropped),
+        so the exact fallbacks of λ = 0 and constrained requests build
+        only the tiles they read.  A configured already-approximate
+        engine is reused as-is."""
         base = self.config.engine
         if base.approx:
             return self.engine_for(tenant)
@@ -219,9 +220,7 @@ class DiversificationService:
             self.engine_for(tenant)  # register the tenant
             engine = DiversificationEngine(
                 algorithm=self.config.algorithm,
-                config=replace(
-                    base, storage="sketched", approx=True, dtype=None
-                ),
+                config=replace(base, storage="tiled", approx=True, dtype=None),
             )
             self._approx_engines[tenant] = engine
         return engine

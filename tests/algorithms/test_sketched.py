@@ -10,6 +10,9 @@ and duplicated answer rows; and the sketched plan must never
 materialize a full distance matrix while doing it.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,9 +28,11 @@ from repro.algorithms.streaming import (
 )
 from repro.algorithms.substrate import ApproxCertificate
 from repro.api import EngineConfig
-from repro.core.objectives import ObjectiveError, ObjectiveKind
+from repro.core.instance import DiversificationInstance
+from repro.core.objectives import Objective, ObjectiveError, ObjectiveKind
 from repro.core.providers import LANDMARK_STRATEGIES, ProviderError
 from repro.engine import ScoringKernel, SketchedStorage, numpy_available
+from repro.workloads import websearch
 from repro.workloads.streaming import StreamingWebSearch
 from repro.workloads.synthetic import random_instance
 
@@ -40,7 +45,7 @@ SELECTORS = {
 
 
 def sketched_kernel(instance, use_numpy, **knobs):
-    config = EngineConfig(storage="sketched", **knobs)
+    config = EngineConfig(approx=True, **knobs)
     return ScoringKernel(instance, use_numpy=use_numpy, config=config)
 
 
@@ -131,6 +136,90 @@ class TestCertificateBracket:
             lower=1.0, value=2.0, upper=3.0, columns=4, strategy="uniform"
         )
         assert ApproxCertificate.from_dict(cert.to_dict()) == cert
+
+
+#: Recorded by running :func:`pinned_selection` on every case of
+#: :func:`pinned_cases` on both backends, while the sketched selectors
+#: were still their own copies of the exact loops; both backends gave
+#: the same bits, so each case has one pin.  Floats are ``float.hex``.
+SKETCHED_PINS = json.loads(
+    (Path(__file__).parent.parent / "data" / "sketched_pins.json").read_text()
+)
+
+PINNED_SELECTORS = {
+    "marginal_max_sum": select_sketched_marginal_max_sum,
+    "mmr": select_sketched_mmr,
+    "max_min": select_sketched_max_min,
+}
+
+
+def pinned_cases():
+    """(workload, selector, objective kind, λ, landmarks) of every pin."""
+    pairs = [
+        ("marginal_max_sum", ObjectiveKind.MAX_SUM),
+        ("mmr", ObjectiveKind.MAX_SUM),
+        ("mmr", ObjectiveKind.MAX_MIN),
+        ("max_min", ObjectiveKind.MAX_MIN),
+    ]
+    return [
+        (workload, selector, kind.value, lam, landmarks)
+        for workload in ("synthetic", "websearch")
+        for selector, kind in pairs
+        for lam in (0.3, 0.7, 1.0)
+        for landmarks in (None, "farthest", "relevance")
+    ]
+
+
+def pinned_selection(pin, use_numpy):
+    """The sketched selection of one pinned case, and its kernel."""
+    kind = ObjectiveKind(pin["kind"])
+    if pin["workload"] == "synthetic":
+        instance = random_instance(n=48, k=6, kind=kind, lam=pin["lam"], seed=11)
+    else:
+        db = websearch.generate(num_docs=60, num_intents=8, seed=17)
+        objective = Objective.from_provider(
+            kind, websearch.scoring_provider(db), lam=pin["lam"]
+        )
+        instance = DiversificationInstance(
+            websearch.documents_query(), db, k=6, objective=objective
+        )
+    knobs = {} if pin["landmarks"] is None else {"landmarks": pin["landmarks"]}
+    kernel = sketched_kernel(instance, use_numpy, **knobs)
+    selector = PINNED_SELECTORS[pin["selector"]]
+    return selector(kernel, instance.objective, instance.k), kernel
+
+
+def sketched_pin_id(pin):
+    return (
+        f"{pin['workload']}-{pin['selector']}-{pin['kind']}-lam{pin['lam']}"
+        f"-{pin['landmarks'] or 'default'}"
+    )
+
+
+class TestPinnedPicks:
+    """The approximate picks themselves, not only their properties:
+    indices, exact value bits and certificate of every pinned case."""
+
+    def test_pins_cover_every_case(self):
+        pinned = [
+            (p["workload"], p["selector"], p["kind"], p["lam"], p["landmarks"])
+            for p in SKETCHED_PINS
+        ]
+        assert pinned == pinned_cases()
+
+    @pytest.mark.parametrize("use_numpy", BACKENDS)
+    @pytest.mark.parametrize("pin", SKETCHED_PINS, ids=sketched_pin_id)
+    def test_picks_match_pins(self, pin, use_numpy):
+        selection, kernel = pinned_selection(pin, use_numpy)
+        cert = selection.certificate
+        assert list(selection.indices) == pin["indices"]
+        assert selection.rows == tuple(kernel.answers[i] for i in pin["indices"])
+        assert selection.value.hex() == pin["value"]
+        assert cert.value.hex() == pin["value"]
+        assert cert.lower.hex() == pin["lower"]
+        assert cert.upper.hex() == pin["upper"]
+        assert (cert.columns, cert.strategy) == (pin["columns"], pin["strategy"])
+        assert not kernel.distances_materialized
 
 
 class TestLandmarks:

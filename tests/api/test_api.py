@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 
 import pytest
 
@@ -94,74 +95,74 @@ class TestEngineConfig:
 
 
 class TestSketchedConfig:
-    """The sketched/approx knobs added by the capability-negotiation
-    refactor, and the canonical keying the CLI + service share."""
+    """The sketched/approx knobs, and the canonical keying the CLI +
+    service share."""
 
     def test_sketched_validation(self):
-        EngineConfig(storage="sketched").validate()
-        EngineConfig(
-            storage="sketched", sketch_columns=8, landmarks="farthest",
-            approx=True,
-        ).validate()
-        with pytest.raises(ApiError, match="float64"):
-            EngineConfig(storage="sketched", dtype="float32").validate()
+        # approx is the one switch, on either storage kind and dtype.
+        EngineConfig(approx=True).validate()
+        EngineConfig(storage="tiled", dtype="float32", approx=True).validate()
+        EngineConfig(sketch_columns=8, landmarks="farthest", approx=True).validate()
+        # The sketch knobs' values are checked with or without approx.
+        EngineConfig(storage="tiled", sketch_columns=8).validate()
+        EngineConfig(landmarks="uniform").validate()
         with pytest.raises(ApiError, match="sketch_columns"):
-            EngineConfig(storage="tiled", sketch_columns=8).validate()
-        with pytest.raises(ApiError, match="sketch_columns"):
-            EngineConfig(storage="sketched", sketch_columns=1).validate()
+            EngineConfig(sketch_columns=1).validate()
         with pytest.raises(ApiError, match="landmark"):
-            EngineConfig(storage="sketched", landmarks="grid").validate()
-        with pytest.raises(ApiError, match="landmark"):
-            EngineConfig(landmarks="uniform").validate()
-        with pytest.raises(ApiError, match="approx"):
-            EngineConfig(approx=True).validate()
+            EngineConfig(approx=True, landmarks="grid").validate()
+
+    def test_sketched_storage_is_refused(self):
+        choices = re.escape("choose one of ('dense', 'tiled')")
+        with pytest.raises(ApiError, match=choices):
+            EngineConfig(storage="sketched", approx=True).validate()
+        with pytest.raises(ApiError, match=choices):
+            EngineConfig.from_env({"REPRO_STORAGE": "sketched"}).validate()
+        parser = argparse.ArgumentParser()
+        add_engine_config_args(parser)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--storage", "sketched", "--approx"])
 
     def test_canonical_collapses_spelled_out_defaults(self):
         spelled = EngineConfig(
             storage="dense", dtype="float64", workers=1, block_size=256,
         )
         assert spelled.canonical() == EngineConfig()
-        sketched = EngineConfig(storage="sketched", landmarks="uniform")
-        assert sketched.canonical() == EngineConfig(storage="sketched")
+        sketched = EngineConfig(approx=True, landmarks="uniform")
+        assert sketched.canonical() == EngineConfig(approx=True)
         # non-defaults survive canonicalization
         kept = EngineConfig(storage="tiled", dtype="float32", workers=2)
         assert kept.canonical() == kept
 
     def test_sketched_round_trip(self):
-        config = EngineConfig(
-            storage="sketched", sketch_columns=12, landmarks="relevance",
-            approx=True,
-        )
+        config = EngineConfig(sketch_columns=12, landmarks="relevance", approx=True)
         assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_from_args_and_env(self):
         parser = argparse.ArgumentParser()
         add_engine_config_args(parser)
         args = parser.parse_args(
-            ["--storage", "sketched", "--sketch-columns", "16",
+            ["--storage", "tiled", "--sketch-columns", "16",
              "--landmarks", "farthest", "--approx"]
         )
         assert EngineConfig.from_args(args) == EngineConfig(
-            storage="sketched", sketch_columns=16, landmarks="farthest",
+            storage="tiled", sketch_columns=16, landmarks="farthest",
             approx=True,
         )
         env = {
-            "REPRO_STORAGE": "sketched",
+            "REPRO_STORAGE": "tiled",
             "REPRO_SKETCH_COLUMNS": "16",
             "REPRO_LANDMARKS": "farthest",
             "REPRO_APPROX": "yes",
         }
         assert EngineConfig.from_env(env) == EngineConfig(
-            storage="sketched", sketch_columns=16, landmarks="farthest",
+            storage="tiled", sketch_columns=16, landmarks="farthest",
             approx=True,
         )
         with pytest.raises(ApiError, match="REPRO_APPROX"):
             EngineConfig.from_env({"REPRO_APPROX": "maybe"})
 
     def test_approx_response_carries_certificate(self, instance):
-        engine = DiversificationEngine(
-            config=EngineConfig(storage="sketched", approx=True)
-        )
+        engine = DiversificationEngine(config=EngineConfig(approx=True))
         response = DiversifyResponse.from_result(engine.run(instance))
         assert response.certificate is not None
         assert response.certificate["strategy"] == "uniform"
@@ -185,9 +186,8 @@ class TestMulticoreConfig:
             max_resident_bytes=1 << 20,
             spill_dir="/tmp/tiles",
         ).validate()
-        # sketched kernels route exact reads through a tiled fallback,
-        # so the budgets apply there too
-        EngineConfig(storage="sketched", max_resident_tiles=4).validate()
+        # the exact reads of an approx engine are budgeted like any other
+        EngineConfig(storage="tiled", approx=True, max_resident_tiles=4).validate()
         with pytest.raises(ApiError, match="max_resident_tiles"):
             EngineConfig(storage="tiled", max_resident_tiles=0).validate()
         with pytest.raises(ApiError, match="cannot spill"):

@@ -13,8 +13,8 @@ observable contract tested here:
 * relevance-only (λ = 0) kernels stay unallocated through build *and*
   through delta patching;
 * opting in to ``approx`` reroutes sketch-capable algorithms through
-  the sketched selectors with a certificate, while ``approx=False`` on
-  sketched storage — and every λ = 0 solve — stays exact,
+  the sketched selectors with a certificate, while ``approx=False`` —
+  sketch knobs or not — and every λ = 0 solve stays exact,
   float-for-float.
 """
 
@@ -39,7 +39,7 @@ BACKENDS = [False] + ([True] if numpy_available() else [])
 STORAGE_CONFIGS = {
     "dense": EngineConfig(),
     "tiled": EngineConfig(storage="tiled", block_size=4),
-    "sketched": EngineConfig(storage="sketched", block_size=4),
+    "approx": EngineConfig(approx=True),
 }
 
 
@@ -112,10 +112,7 @@ class TestStoragePlanning:
     @pytest.mark.parametrize("use_numpy", BACKENDS)
     def test_sampled_columns_runs_build_no_storage(self, storage_spy, use_numpy):
         instance = random_instance(n=30, k=4, lam=0.5, seed=1)
-        engine = DiversificationEngine(
-            use_numpy=use_numpy,
-            config=EngineConfig(storage="sketched", approx=True),
-        )
+        engine = DiversificationEngine(use_numpy=use_numpy, config=EngineConfig(approx=True))
         result = engine.run(instance, "greedy_max_sum")
         assert result is not None
         assert result.certificate is not None
@@ -185,12 +182,12 @@ class TestApproxDispatch:
     def test_approx_requires_opt_in(self):
         instance = random_instance(n=25, k=4, lam=0.5, seed=5)
         engine = DiversificationEngine(
-            config=EngineConfig(storage="sketched", approx=False)
+            config=EngineConfig(sketch_columns=8, landmarks="farthest")
         )
         exact = DiversificationEngine()
         result = engine.run(instance, "greedy_max_sum")
         baseline = exact.run(instance, "greedy_max_sum")
-        # approx off: sketched storage still solves exactly, bit-equal.
+        # approx off: sketch knobs alone still solve exactly, bit-equal.
         assert result.certificate is None
         assert result.value == baseline.value
         assert result.rows == baseline.rows
@@ -207,9 +204,7 @@ class TestApproxDispatch:
             instance = DiversificationInstance(
                 websearch.documents_query(), db, k=10, objective=objective
             )
-        engine = DiversificationEngine(
-            config=EngineConfig(storage="sketched", approx=True)
-        )
+        engine = DiversificationEngine(config=EngineConfig(approx=True))
         exact = DiversificationEngine()
         result = engine.run(instance, "greedy_max_sum")
         cert = result.certificate
@@ -223,9 +218,7 @@ class TestApproxDispatch:
         """A sketched run's only distance data is the landmark sketch:
         the kernel and the engine totals report its n × m float64s."""
         instance = random_instance(n=100, k=4, lam=0.5, seed=6)
-        engine = DiversificationEngine(
-            use_numpy=use_numpy, config=EngineConfig(storage="sketched", approx=True)
-        )
+        engine = DiversificationEngine(use_numpy=use_numpy, config=EngineConfig(approx=True))
         kernel = engine.kernel_for(instance)
         assert kernel.storage_stats()["kind"] == "deferred"
         engine.run(instance, "greedy_max_sum")
@@ -237,9 +230,7 @@ class TestApproxDispatch:
 
     def test_approx_skips_relevance_only(self):
         instance = random_instance(n=25, k=4, lam=0.0, seed=7)
-        engine = DiversificationEngine(
-            config=EngineConfig(storage="sketched", approx=True)
-        )
+        engine = DiversificationEngine(config=EngineConfig(approx=True))
         exact = DiversificationEngine()
         result = engine.run(instance, "greedy_max_sum")
         assert result.certificate is None
@@ -247,9 +238,7 @@ class TestApproxDispatch:
 
     def test_approx_reuses_cached_kernel(self):
         instance = random_instance(n=30, k=4, lam=0.5, seed=8)
-        engine = DiversificationEngine(
-            config=EngineConfig(storage="sketched", approx=True)
-        )
+        engine = DiversificationEngine(config=EngineConfig(approx=True))
         first = engine.run(instance, "greedy_max_sum")
         second = engine.run(instance, "mmr")
         assert not first.kernel_reused
@@ -258,9 +247,7 @@ class TestApproxDispatch:
 
     def test_approx_result_roundtrips(self):
         instance = random_instance(n=30, k=4, lam=0.5, seed=9)
-        engine = DiversificationEngine(
-            config=EngineConfig(storage="sketched", approx=True)
-        )
+        engine = DiversificationEngine(config=EngineConfig(approx=True))
         result = engine.run(instance, "greedy_max_sum")
         revived = EngineResult.from_dict(result.to_dict())
         assert revived.certificate == result.certificate

@@ -497,7 +497,7 @@ class TestSketchPooled:
         instance = random_instance(
             n=23, k=4, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=3
         )
-        knobs = dict(storage="sketched", sketch_columns=5, block_size=4)
+        knobs = dict(storage="tiled", approx=True, sketch_columns=5, block_size=4)
         serial = tiled_kernel(instance, use_numpy, **knobs).sketch()
         children = child_processes()
         if not use_numpy:

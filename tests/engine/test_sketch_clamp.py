@@ -19,7 +19,7 @@ BACKENDS = [False] + ([True] if numpy_available() else [])
 
 
 def sketched_kernel(instance, use_numpy, **knobs):
-    config = EngineConfig(storage="sketched", **knobs)
+    config = EngineConfig(approx=True, **knobs)
     return ScoringKernel(instance, use_numpy=use_numpy, config=config)
 
 

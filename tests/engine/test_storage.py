@@ -177,10 +177,12 @@ class TestLaziness:
         assert a == b
         assert kernel._storage.tiles_built == 1
 
-    def test_budgeted_row_sums_touch_each_tile_once_per_tile_row(self):
-        """Row sums under a tile budget smaller than a tile-row sum one
-        tile-row at a time: pure Python rebuilds no more evicted tiles
-        than NumPy, at most one per tile of each tile-row."""
+    @pytest.mark.parametrize("read", ["row_distance_sums", "distance_rows"])
+    def test_budgeted_row_sums_touch_each_tile_once_per_tile_row(self, read):
+        """Row sums and the whole matrix, under a tile budget smaller
+        than a tile-row, are read one tile-row at a time: pure Python
+        rebuilds no more evicted tiles than NumPy, at most one per tile
+        of each tile-row."""
         instance = random_instance(
             n=300, k=5, kind=ObjectiveKind.MAX_SUM, lam=0.5, seed=11
         )
@@ -190,7 +192,7 @@ class TestLaziness:
             kernel = ScoringKernel(instance, use_numpy=use_numpy, config=config)
             kernel.materialize_all()
             before = kernel.storage_stats()["rebuilds"]
-            sums = kernel.row_distance_sums()
+            sums = getattr(kernel, read)()
             return kernel.storage_stats()["rebuilds"] - before, sums
 
         rebuilds, sums = rebuilds_and_sums(False)

@@ -508,6 +508,9 @@ class TestApproxAdmission:
         assert stats["requests"]["served_exact"] == 0
         assert stats["tenants"]["default"]["approx_cached_kernels"] == 1
         assert stats["config"]["approx_over"] == 150
+        # Its exact fallbacks (λ = 0, constraints) read lazy float64 tiles.
+        config = service.approx_engine_for("default").config
+        assert (config.storage, config.approx, config.dtype) == ("tiled", True, None)
 
     def test_approx_admission_disabled_by_default(self):
         service = make_service(max_answer_set=100)
